@@ -9,8 +9,14 @@ members of bs and not all empty, bounds a from above.
 Verdicts are strong-Kleene truth values.  True and False are final: True
 comes only from fully exhausted index sets or an explicit witness, False only
 from a counterexample or an exhausted witness space.  Every budget truncation
-yields Unknown, tagged with what ran out.  Definite verdicts are monotone in
-the fuel and are cached; Unknown is never cached.
+yields Unknown, tagged with what ran out; once the step budget is spent, that
+reason is reported over any width or depth truncation met on the way.
+Definite verdicts are monotone in the fuel and are cached; Unknown is never
+cached.
+
+On finitary names both relations come down to comparing tree heights.  When
+the fuel would carry the recursion to a verdict anyway, the engine reads it
+off the heights in one step instead.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -35,6 +41,7 @@ class EngineError(RuntimeError):
 
 WIDTH_TRUNCATED = "width-truncated"
 DEPTH_EXHAUSTED = "depth-exhausted"
+STEPS_EXHAUSTED = "steps-exhausted"
 
 
 class TriBool:
@@ -152,7 +159,7 @@ class Judgment:
 
 # definite verdicts only, keyed by (kind, lhs ident, rhs ident set)
 _memo: dict = {}
-# per rhs ident set: the witness selections, one per prefix width
+# per rhs ident set: its _Bounds record
 _sel_cache: dict = {}
 _stats = {"evals": 0, "hits": 0}
 
@@ -205,14 +212,40 @@ def _rhs_key(bs: tuple) -> frozenset:
     return frozenset(b.ident for b in bs)
 
 
-def _selection(bs: tuple, rhs_key: frozenset, m: int):
+class _Bounds:
+    """What the engine reuses about one bound set: the witness selections
+    grown so far, the covering selection size, and, when every bound is
+    finitary, the bounds' largest height and largest index set."""
+
+    __slots__ = ("grown", "cover", "height", "width")
+
+    def __init__(self, bs: tuple):
+        self.grown: list = []
+        arities = [_arity_bound(b) for b in bs]
+        self.cover = None if None in arities else max(arities)
+        self.height: Optional[int] = None
+        self.width = 0
+        if all(b.is_finitary for b in bs):
+            self.height = max(structural_depth(b) for b in bs)
+            self.width = max(max_fin_width(b) for b in bs)
+
+
+def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
+    """The record for these bounds, made on first use.  Keyed by ident set,
+    so bound tuples that differ only in order share the first one's
+    selections."""
+    rec = _sel_cache.get(rhs_key)
+    if rec is None:
+        rec = _sel_cache[rhs_key] = _Bounds(bs)
+    return rec
+
+
+def _selection(rec: _Bounds, bs: tuple, m: int):
     """The m-th witness selection for these bounds: each member contributes
     its subordinal prefix of length m (clamped to the member's own arity).
-    Cached per bound set, since every scan against the same bounds retries
-    the same selections."""
-    grown = _sel_cache.get(rhs_key)
-    if grown is None:
-        grown = _sel_cache[rhs_key] = []
+    Grown once per bound set, since every scan against the same bounds
+    retries the same selections."""
+    grown = rec.grown
     while len(grown) < m:
         k = len(grown) + 1
         sel = []
@@ -226,22 +259,45 @@ def _selection(bs: tuple, rhs_key: frozenset, m: int):
     return grown[m - 1]
 
 
+def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
+               strict: bool) -> Optional[bool]:
+    """The verdict on finitary a against these bounds, read off the tree
+    heights, or None when a bound is not finitary or the fuel would not
+    carry the recursion to a verdict.  On finitary names a <= bs exactly
+    when a is no taller than the tallest bound, and a < bs when it is
+    shorter.  The recursion descends a's tree twice per level (le, then lt)
+    and scans every index set below a and the bounds; declining when fuel
+    falls short of that keeps the verdicts short fuel has always given."""
+    if rec.height is None:
+        return None
+    h = structural_depth(a)
+    if depth < 2 * h + strict:
+        return None
+    if width < rec.width or width < max_fin_width(a):
+        return None
+    return h < rec.height if strict else h <= rec.height
+
+
 def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         budget: list) -> TriBool:
-    if a.is_zero:
+    if a.is_zero or a.ident in rhs_key:
         return TRUE
-    for b in bs:
-        if b.ident == a.ident:
-            return TRUE
     key = ("le", a.ident, rhs_key)
     hit = _memo.get(key)
     if hit is not None:
         _stats["hits"] += 1
         return TRUE if hit else FALSE
-    if depth == 0 or budget[0] <= 0:
+    if depth == 0:
         return _unknown(DEPTH_EXHAUSTED)
+    if budget[0] <= 0:
+        return _unknown(STEPS_EXHAUSTED)
     budget[0] -= 1
     _stats["evals"] += 1
+    if a.is_finitary:
+        quick = _by_height(a, _bounds(bs, rhs_key), width, depth, False)
+        if quick is not None:
+            _memo[key] = quick
+            return TRUE if quick else FALSE
     scan, exhausted = _span(a, width)
     pending: Optional[TriBool] = None
     for i in range(scan):
@@ -249,7 +305,7 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         if r.is_false:
             _memo[key] = False
             return FALSE
-        if r.is_unknown and pending is None:
+        if r.is_unknown and (pending is None or r.reason == STEPS_EXHAUSTED):
             pending = r
     if pending is not None:
         return pending
@@ -266,25 +322,35 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     if hit is not None:
         _stats["hits"] += 1
         return TRUE if hit else FALSE
-    if depth == 0 or budget[0] <= 0:
+    if depth == 0:
         return _unknown(DEPTH_EXHAUSTED)
+    if budget[0] <= 0:
+        return _unknown(STEPS_EXHAUSTED)
     budget[0] -= 1
     _stats["evals"] += 1
-    arities = [_arity_bound(b) for b in bs]
-    cover = None if any(x is None for x in arities) else max(arities)
+    rec = _bounds(bs, rhs_key)
+    if a.is_finitary:
+        quick = _by_height(a, rec, width, depth, True)
+        if quick is not None:
+            _memo[key] = quick
+            return TRUE if quick else FALSE
+    cover = rec.cover
     if cover == 0:
         _memo[key] = False
         return FALSE
     top = width if cover is None else min(width, cover)
     covering: Optional[TriBool] = None
+    starved: Optional[TriBool] = None
     for m in range(1, top + 1):
-        sel, sel_key = _selection(bs, rhs_key, m)
+        sel, sel_key = _selection(rec, bs, m)
         r = _le(a, sel, sel_key, width, depth - 1, budget)
         if r.is_true:
             _memo[key] = True
             return TRUE
         if m == cover:
             covering = r
+        elif r.is_unknown and r.reason == STEPS_EXHAUSTED:
+            starved = r
     if covering is not None:
         # the covering prefix is the largest selection there is; a definite
         # refutation of it refutes every selection
@@ -292,7 +358,7 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
             _memo[key] = False
             return FALSE
         return covering
-    return _unknown(WIDTH_TRUNCATED)
+    return starved if starved is not None else _unknown(WIDTH_TRUNCATED)
 
 
 def _as_rhs(bs) -> tuple:

@@ -758,7 +758,10 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     def prem(i: int) -> Certificate:
         if i not in memo:
             # deep premises may need selections about as wide as their index
-            memo[i] = _search_lt(a.child(i), bs, fuel, max(limit, i + 2),
+            # or, for successor stacks such as member i of k+w, as their height
+            member = a.child(i)
+            memo[i] = _search_lt(member, bs, fuel,
+                                 max(limit, i + 2, _peel_height(member) + 2),
                                  budget - 1, st)
         return memo[i]
 

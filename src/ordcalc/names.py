@@ -528,30 +528,42 @@ _depth_cache: dict = {0: 0}
 _width_cache: dict = {0: 0}
 
 
-def structural_depth(alpha: OrdName) -> int:
-    """Height of a finitary name's tree."""
-    hit = _depth_cache.get(alpha.ident)
+def _measure(alpha: OrdName, cache: dict, what: str,
+             combine: Callable[[OrdName, list], int]) -> int:
+    """Fold a finitary name bottom-up with an explicit stack, caching every
+    node's value by ident, so chains of any height fit in constant Python
+    stack.  combine receives a node and its children's values."""
+    hit = cache.get(alpha.ident)
     if hit is not None:
         return hit
     if not alpha.is_finitary:
-        raise ValueError("structural_depth needs a finitary name")
-    d = 1 + max((structural_depth(c) for c in alpha.family._children), default=0)
-    _depth_cache[alpha.ident] = d
-    return d
+        raise ValueError(f"{what} needs a finitary name")
+    stack = [alpha]
+    while stack:
+        node = stack[-1]
+        if node.ident in cache:
+            stack.pop()
+            continue
+        children = node.family._children
+        missing = [c for c in children if c.ident not in cache]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        cache[node.ident] = combine(node, [cache[c.ident] for c in children])
+    return cache[alpha.ident]
+
+
+def structural_depth(alpha: OrdName) -> int:
+    """Height of a finitary name's tree."""
+    return _measure(alpha, _depth_cache, "structural_depth",
+                    lambda node, kids: 1 + max(kids, default=0))
 
 
 def max_fin_width(alpha: OrdName) -> int:
     """Largest index-set size anywhere in a finitary name."""
-    hit = _width_cache.get(alpha.ident)
-    if hit is not None:
-        return hit
-    if not alpha.is_finitary:
-        raise ValueError("max_fin_width needs a finitary name")
-    w = max(
-        [alpha.index.size] + [max_fin_width(c) for c in alpha.family._children]
-    )
-    _width_cache[alpha.ident] = w
-    return w
+    return _measure(alpha, _width_cache, "max_fin_width",
+                    lambda node, kids: max([node.index.size] + kids))
 
 
 def und_value(alpha: OrdName) -> Optional[int]:

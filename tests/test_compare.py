@@ -2,12 +2,14 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordcalc import arith, compare, oracle
-from ordcalc.compare import (DEPTH_EXHAUSTED, WIDTH_TRUNCATED, Fuel, Ordering,
-                             clear_memo, cmp_finitary, eq, finitary_fuel, le,
-                             lt, memo_stats)
-from ordcalc.names import ZERO, omega, suc_list, sup_finite, und
+from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
+                             Fuel, Ordering, clear_memo, cmp_finitary, eq,
+                             finitary_fuel, le, lt, memo_stats)
+from ordcalc.names import (ZERO, omega, structural_depth, suc_list,
+                           sup_finite, und)
 
 from .conftest import finitary_names, seeded_pairs
 
@@ -103,6 +105,50 @@ class TestFuelMonotonicity:
         clear_memo()
         v = le(und(5), (und(6),), Fuel(width=4, depth=2))
         assert v.is_unknown
+
+
+class TestHeightShortcut:
+    @given(finitary_names(), st.lists(finitary_names(), min_size=1, max_size=3))
+    @settings(max_examples=200)
+    def test_recursion_agrees_with_heights(self, a, bs):
+        fuel = finitary_fuel(a, *bs)
+        h = structural_depth(a)
+        top = max(structural_depth(b) for b in bs)
+        clear_memo()
+        quick = (le(a, bs, fuel).value, lt(a, bs, fuel).value)
+        clear_memo()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compare, "_by_height", lambda *args: None)
+            slow = (le(a, bs, fuel).value, lt(a, bs, fuel).value)
+        assert slow == quick == (h <= top, h < top)
+
+    def test_shortcut_is_one_memoized_eval(self):
+        clear_memo()
+        a = suc_list([und(2), und(4)])
+        bs = (und(6), und(1))
+        assert lt(a, bs, finitary_fuel(a, *bs)).is_true
+        assert memo_stats() == {"evals": 1, "hits": 0, "entries": 1}
+        assert lt(a, bs, finitary_fuel(a, *bs)).is_true
+        assert memo_stats() == {"evals": 1, "hits": 1, "entries": 1}
+
+    def test_deep_chains_at_default_fuel(self):
+        for n in range(25002):
+            und(n)
+        # too deep for the default fuel either way: the recursion runs dry
+        assert le(und(25000), (und(25001),)).is_unknown
+        # shallow enough on the left: the heights settle it
+        assert lt(und(3), (und(25000),)).is_true
+
+
+class TestStepBudget:
+    def test_spent_steps_are_reported_as_such(self):
+        w2 = arith.mul(omega(), und(2))
+        wpw = arith.add(omega(), omega())
+        for rel in (le, lt):
+            clear_memo()
+            v = rel(w2, (wpw,), Fuel(steps=50))
+            assert v.is_unknown
+            assert v.reason == STEPS_EXHAUSTED
 
 
 class TestMemo:

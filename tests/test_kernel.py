@@ -281,6 +281,16 @@ class TestSearch:
         with pytest.raises(CertSearchError):
             le_cert(mul(omega(), und(2)), (add(omega(), omega()),), steps=40)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_finite_prefix_absorbed_from_any_memo_state(self, k):
+        # member i of k+w is the natural k+i, which no selection of width
+        # i+2 from w bounds once k >= 2
+        kw = add(und(k), omega())
+        compare.clear_memo()
+        assert ok(le_cert(kw, (omega(),)), SPOT)
+        compare.le(kw, (omega(),))
+        assert ok(le_cert(kw, (omega(),)), SPOT)
+
     def test_strict_product_identities_refused(self):
         # the two names are equal, so neither strict direction can hold
         w2 = mul(omega(), und(2))
