@@ -7,7 +7,9 @@ certificate and independently rederives every visited conclusion from the
 rule and premises.  Premises below a naturally indexed family are held as a
 generator, so certificates about infinitely branching names are finite
 objects; verifying those requires a spot-check policy, since an exhaustive
-walk is only meaningful when every branching is finite.
+walk is only meaningful when every branching is finite.  Each rule is one
+entry of a rule table read by a single walker, ``check_derivation``; the
+sequent calculus (``mlseq``) runs the same walker over a table of its own.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers: they use the bounded
 comparison engine to steer toward a certificate, which is then checked like
@@ -17,7 +19,7 @@ any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import compare
 from .compare import Fuel, Judgment
@@ -56,7 +58,10 @@ VerifyPolicy = object  # Exhaustive | SpotCheck
 
 
 class Certificate:
-    """One rule application.  Immutable by convention; compared by identity."""
+    """One rule application.  Immutable by convention; compared by identity.
+
+    Premises are a tuple, or a generator over gen_index whose results are
+    cached.  The sequent calculus subclasses this type."""
 
     __slots__ = ("rule", "conclusion", "premises", "gen_index", "_gen",
                  "_gen_cache", "payload")
@@ -78,17 +83,20 @@ class Certificate:
     def generated(self) -> bool:
         return self._gen is not None
 
+    @property
+    def kind(self) -> str:
+        """The relation the rule concludes; rule tables match on it."""
+        return self.conclusion.kind
+
     def premise_at(self, i: int) -> "Certificate":
+        """Premise i, generated on first use; the verifier checks its type."""
         if self._gen is None:
             return self.premises[i]
         if i not in self.gen_index:
             raise IndexError(f"premise index {i!r} outside {self.gen_index!r}")
         hit = self._gen_cache.get(i)
         if hit is None:
-            hit = self._gen(i)
-            if not isinstance(hit, Certificate):
-                raise KernelError("premise generator returned a non-certificate")
-            self._gen_cache[i] = hit
+            hit = self._gen_cache[i] = self._gen(i)
         return hit
 
     def __repr__(self) -> str:
@@ -106,6 +114,39 @@ def _ids(names: Sequence[OrdName]) -> frozenset:
     return frozenset(n.ident for n in names)
 
 
+def subordinal_premises(x: OrdName, premises=None, gen=None) -> dict:
+    """The premise slots of a rule with one premise per subordinal of x
+    (le_intro, and R2 of the sequent calculus): none for zero, a tuple for
+    finite branching, a generator over the naturals otherwise."""
+    if x.is_zero:
+        if premises or gen:
+            raise KernelError("zero takes no premises")
+        return {}
+    if isinstance(x.index, Fin):
+        if gen is not None or premises is None:
+            raise KernelError("finitely branching name takes a premise tuple")
+        premises = tuple(premises)
+        if len(premises) != x.index.size:
+            raise KernelError(
+                f"need {x.index.size} premises, got {len(premises)}")
+        return {"premises": premises}
+    if gen is None or premises:
+        raise KernelError("naturally indexed name takes a premise generator")
+    return {"gen_index": NAT, "gen": gen}
+
+
+def subordinal_arity(x: OrdName, c: Certificate) -> Optional[str]:
+    """The verifier's side of subordinal_premises: a failure reason, or
+    None when c's premises have the shape x's subordinals demand."""
+    if x.is_zero:
+        fits = not c.premises and not c.generated
+    elif isinstance(x.index, Fin):
+        fits = not c.generated and len(c.premises) == x.index.size
+    else:
+        fits = c.generated
+    return None if fits else "one premise per subordinal"
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -113,24 +154,8 @@ def _ids(names: Sequence[OrdName]) -> frozenset:
 def le_intro(a: OrdName, bs, premises: Optional[Sequence[Certificate]] = None,
              gen: Optional[Callable[[int], Certificate]] = None) -> Certificate:
     """a <= bs from one strict bound per subordinal of a."""
-    bs = _rhs(bs)
-    concl = Judgment("le", a, bs)
-    if a.is_zero:
-        if premises or gen:
-            raise KernelError("zero needs no premises")
-        return Certificate("le_intro", concl)
-    idx = a.index
-    if isinstance(idx, Fin):
-        if gen is not None or premises is None:
-            raise KernelError("finitely branching lhs takes a premise tuple")
-        premises = tuple(premises)
-        if len(premises) != idx.size:
-            raise KernelError(
-                f"need {idx.size} premises, got {len(premises)}")
-        return Certificate("le_intro", concl, premises=premises)
-    if gen is None or premises:
-        raise KernelError("naturally indexed lhs takes a premise generator")
-    return Certificate("le_intro", concl, gen_index=NAT, gen=gen)
+    return Certificate("le_intro", Judgment("le", a, _rhs(bs)),
+                       **subordinal_premises(a, premises, gen))
 
 
 def lt_intro_sel(a: OrdName, bs, selections: Sequence[Sequence[int]],
@@ -211,7 +236,7 @@ def refl(a: OrdName) -> Certificate:
 
 
 def _expect(cert: Certificate, kind: str, role: str) -> Judgment:
-    if not isinstance(cert, Certificate):
+    if type(cert) is not Certificate:
         raise KernelError(f"{role} is not a certificate")
     if cert.conclusion.kind != kind:
         raise KernelError(f"{role} must conclude a {kind} judgment")
@@ -388,208 +413,56 @@ class VerifyReport:
         self.failures.append((path, reason))
 
 
-def _check_node(c: Certificate, report: VerifyReport, path: str) -> bool:
-    """Rederive c's conclusion from its rule, payload and premise
-    conclusions.  Returns False when the node is locally unsound."""
-    concl = c.conclusion
-    rule = c.rule
+class Rule(NamedTuple):
+    """One rule of a calculus, as the verifier rederives it.
 
-    def bad(reason: str) -> bool:
-        report.fail(path, reason)
-        return False
+    kinds lists the kinds of a fixed premise tuple (None in a slot: any
+    kind), or is None when check decides the premise count itself.  concl
+    is the kind the rule concludes (None: any).  check(c, ps) gets ps, the
+    conclusions of a fixed premise tuple; premise(c, i, p) checks premise i
+    before the walk descends into it.  Both return a failure reason, or
+    None."""
 
-    if rule == "le_intro":
-        if concl.kind != "le":
-            return bad("le_intro concludes le")
-        a = concl.lhs
-        if a.is_zero:
-            if c.premises or c.generated:
-                return bad("zero takes no premises")
-            return True
-        if isinstance(a.index, Fin):
-            if c.generated or len(c.premises) != a.index.size:
-                return bad("premise count must equal the branching")
-        elif not c.generated:
-            return bad("naturally indexed lhs needs generated premises")
-        return True
-    if rule == "lt_intro":
-        if concl.kind != "lt":
-            return bad("lt_intro concludes lt")
-        sels = c.payload
-        if len(sels) != len(concl.rhs) or all(not s for s in sels):
-            return bad("selections malformed")
-        for b, s in zip(concl.rhs, sels):
-            for i in s:
-                if b.is_zero or i not in b.index:
-                    return bad(f"selection index {i} invalid")
-        if c.generated or len(c.premises) != 1:
-            return bad("needs exactly the inner premise")
-        inner = c.premises[0].conclusion
-        if inner.kind != "le" or inner.lhs.ident != concl.lhs.ident:
-            return bad("inner premise shape")
-        if _ids(inner.rhs) != _ids(_selected(concl.rhs, sels)):
-            return bad("inner premise does not bound by the selection")
-        return True
-    if rule in ("trans_le_le", "trans_lt_le", "trans_le_lt"):
-        want_p = "lt" if rule == "trans_lt_le" else "le"
-        want_q = "lt" if rule == "trans_le_lt" else "le"
-        want_c = "le" if rule == "trans_le_le" else "lt"
-        if c.generated or len(c.premises) != 2:
-            return bad("transitivity takes two premises")
-        cp, cq = c.premises[0].conclusion, c.premises[1].conclusion
-        if (cp.kind, cq.kind, concl.kind) != (want_p, want_q, want_c):
-            return bad("judgment kinds do not fit the rule")
-        if cp.lhs.ident != concl.lhs.ident or _ids(cq.rhs) != _ids(concl.rhs):
-            return bad("endpoints do not match")
-        if not _middle_matches(cp.rhs, cq.lhs):
-            return bad("middle name mismatch")
-        return True
-    if rule == "weaken":
-        if c.generated or len(c.premises) != 1:
-            return bad("weaken takes one premise")
-        cp = c.premises[0].conclusion
-        if cp.kind != concl.kind or cp.lhs.ident != concl.lhs.ident:
-            return bad("weaken changes only the bound set")
-        if _ids(concl.rhs) != _ids(cp.rhs) | _ids(c.payload):
-            return bad("conclusion bounds are not premise plus extras")
-        return True
-    if rule == "contract":
-        if c.generated or len(c.premises) != 1:
-            return bad("contract takes one premise")
-        cp = c.premises[0].conclusion
-        if (cp.kind != concl.kind or cp.lhs.ident != concl.lhs.ident
-                or _ids(cp.rhs) != _ids(concl.rhs)):
-            return bad("contract preserves the bound set")
-        return True
-    if rule == "lt_to_le":
-        if c.generated or len(c.premises) != 1:
-            return bad("takes one premise")
-        cp = c.premises[0].conclusion
-        if (cp.kind, concl.kind) != ("lt", "le"):
-            return bad("weakens strict to non-strict")
-        if cp.lhs.ident != concl.lhs.ident or _ids(cp.rhs) != _ids(concl.rhs):
-            return bad("endpoints must be unchanged")
-        return True
-    if rule in ("lt_suc_of_le", "le_of_lt_suc", "suc_le_of_lt", "lt_of_suc_le"):
-        if c.generated or len(c.premises) != 1:
-            return bad("takes one premise")
-        cp = c.premises[0].conclusion
-        if rule == "lt_suc_of_le":
-            ok = (cp.kind == "le" and concl.kind == "lt"
-                  and len(cp.rhs) == 1 and len(concl.rhs) == 1
-                  and _is_suc(concl.rhs[0])
-                  and concl.rhs[0].child(0).ident == cp.rhs[0].ident
-                  and cp.lhs.ident == concl.lhs.ident)
-        elif rule == "le_of_lt_suc":
-            ok = (cp.kind == "lt" and concl.kind == "le"
-                  and len(cp.rhs) == 1 and len(concl.rhs) == 1
-                  and _is_suc(cp.rhs[0])
-                  and cp.rhs[0].child(0).ident == concl.rhs[0].ident
-                  and cp.lhs.ident == concl.lhs.ident)
-        elif rule == "suc_le_of_lt":
-            ok = (cp.kind == "lt" and concl.kind == "le"
-                  and _is_suc(concl.lhs)
-                  and concl.lhs.child(0).ident == cp.lhs.ident
-                  and _ids(cp.rhs) == _ids(concl.rhs))
-        else:
-            ok = (cp.kind == "le" and concl.kind == "lt"
-                  and _is_suc(cp.lhs)
-                  and cp.lhs.child(0).ident == concl.lhs.ident
-                  and _ids(cp.rhs) == _ids(concl.rhs))
-        return True if ok else bad("successor conversion shape")
-    if rule == "sup_le_intro":
-        if concl.kind != "le":
-            return bad("concludes le")
-        members = c.payload
-        if not sup_decomposition(concl.lhs, members):
-            return bad("lhs is not the sup of the claimed members")
-        if isinstance(members, Family):
-            if not c.generated:
-                return bad("a member family needs generated premises")
-        elif not c.generated and len(c.premises) != len(members):
-            return bad("one premise per member")
-        return True
-    if rule == "sup_lt":
-        if c.generated or len(c.premises) != 2 or concl.kind != "lt":
-            return bad("takes two strict premises")
-        cp, cq = c.premises[0].conclusion, c.premises[1].conclusion
-        if cp.kind != "lt" or cq.kind != "lt":
-            return bad("premises must be strict")
-        if (len(cp.rhs) != 1 or len(cq.rhs) != 1 or len(concl.rhs) != 1
-                or cp.rhs[0].ident != concl.rhs[0].ident
-                or cq.rhs[0].ident != concl.rhs[0].ident):
-            return bad("premises must share the conclusion's single bound")
-        if not sup_decomposition(concl.lhs, (cp.lhs, cq.lhs)):
-            return bad("lhs is not the sup of the premise names")
-        return True
-    if rule == "cut_left":
-        if c.generated or len(c.premises) != 2 or concl.kind != "le":
-            return bad("cut takes two premises")
-        cp, cq = c.premises[0].conclusion, c.premises[1].conclusion
-        (other,) = c.payload
-        if cp.kind != "lt" or cq.kind != "le":
-            return bad("premise kinds")
-        if (len(cp.rhs) != 1 or len(cq.rhs) != 1 or len(concl.rhs) != 1
-                or cp.rhs[0].ident != cq.lhs.ident
-                or cq.lhs.ident != concl.lhs.ident
-                or concl.rhs[0].ident != other.ident):
-            return bad("endpoints do not wire up")
-        if not sup_decomposition(cq.rhs[0], (other, cp.lhs)):
-            return bad("bound is not the sup of remainder and cut name")
-        return True
-    if rule == "drop_left":
-        if c.generated or len(c.premises) != 1 or concl.kind != "lt":
-            return bad("takes one strict premise")
-        cp = c.premises[0].conclusion
-        (other,) = c.payload
-        if cp.kind != "lt" or len(cp.rhs) != 1 or len(concl.rhs) != 1:
-            return bad("shape")
-        if cp.lhs.ident != concl.lhs.ident or concl.rhs[0].ident != other.ident:
-            return bad("endpoints do not wire up")
-        if not sup_decomposition(cp.rhs[0], (cp.lhs, other)):
-            return bad("bound is not the sup of lhs and remainder")
-        return True
-    return bad(f"unknown rule {rule!r}")
+    kinds: Optional[Tuple[Optional[str], ...]]
+    concl: Optional[str]
+    check: Callable[[Certificate, tuple], Optional[str]]
+    premise: Optional[Callable[[Certificate, int, Certificate],
+                               Optional[str]]] = None
 
 
-def _premise_schema_le_intro(c: Certificate, i: int) -> Optional[str]:
-    p = c.premise_at(i).conclusion
-    a = c.conclusion.lhs
-    if p.kind != "lt":
-        return "subordinal premise must be strict"
-    if p.lhs.ident != a.child(i).ident:
-        return f"premise {i} is not about subordinal {i}"
-    if _ids(p.rhs) != _ids(c.conclusion.rhs):
-        return f"premise {i} bounds by the wrong set"
-    return None
+def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
+                     rules: dict) -> VerifyReport:
+    """Walk a derivation whose nodes must all be of type cls, rederiving
+    every visited node from its entry in rules.
 
-
-def _premise_schema_sup(c: Certificate, i: int) -> Optional[str]:
-    p = c.premise_at(i).conclusion
-    members = c.payload
-    if p.kind != "le":
-        return "member premise must be le"
-    want = members.at(i) if isinstance(members, Family) else (
-        members[i] if i < len(members) else None)
-    if want is None or p.lhs.ident != want.ident:
-        return f"premise {i} is not about member {i}"
-    if _ids(p.rhs) != _ids(c.conclusion.rhs):
-        return f"premise {i} bounds by the wrong set"
-    return None
-
-
-def verify(cert: Certificate, policy: VerifyPolicy = Exhaustive()) -> VerifyReport:
-    """Walk the certificate and rederive every visited conclusion.
-
-    Exhaustive visits everything and is rejected outright on certificates
-    with generated premises.  SpotCheck visits finite premises exhaustively
-    and generated ones at the sample indices, descending at most its depth.
-    """
+    Exhaustive visits everything, each shared subtree once, and is rejected
+    outright on certificates with generated premises.  SpotCheck visits
+    finite premises exhaustively and generated ones at the sample indices,
+    descending at most its depth.  A premise that cannot be generated, or
+    is not of type cls, fails at its own path and is not descended into."""
     report = VerifyReport(ok=True)
     spot = policy if isinstance(policy, SpotCheck) else None
     if spot is None and not isinstance(policy, Exhaustive):
         raise KernelError(f"unknown verification policy: {policy!r}")
+    foreign = f"not a certificate of this calculus ({cls.__name__})"
     seen_exhaustive: set = set()
+
+    def local(c: Certificate) -> Optional[str]:
+        rule = rules.get(c.rule)
+        if rule is None:
+            return f"unknown rule {c.rule!r}"
+        if rule.concl is not None and c.kind != rule.concl:
+            return f"{c.rule} concludes {rule.concl}"
+        if rule.kinds is None:
+            return rule.check(c, ())
+        if c.generated or len(c.premises) != len(rule.kinds):
+            return f"{c.rule} takes {len(rule.kinds)} premises"
+        if any(type(p) is not cls for p in c.premises):
+            return f"a premise is {foreign}"
+        if any(k is not None and p.kind != k
+               for p, k in zip(c.premises, rule.kinds)):
+            return "premise kinds do not fit the rule"
+        return rule.check(c, tuple(p.conclusion for p in c.premises))
 
     def walk(c: Certificate, path: str, depth: int) -> None:
         if spot is not None and depth > spot.depth:
@@ -597,10 +470,9 @@ def verify(cert: Certificate, policy: VerifyPolicy = Exhaustive()) -> VerifyRepo
         if spot is None and id(c) in seen_exhaustive:
             return
         report.visited += 1
-        if not isinstance(c, Certificate):
-            report.fail(path, "not a certificate")
-            return
-        if not _check_node(c, report, path):
+        msg = foreign if type(c) is not cls else local(c)
+        if msg is not None:
+            report.fail(path, msg)
             return
         if c.generated:
             if spot is None:
@@ -615,24 +487,179 @@ def verify(cert: Certificate, policy: VerifyPolicy = Exhaustive()) -> VerifyRepo
             indices = range(len(c.premises))
             if spot is None:
                 seen_exhaustive.add(id(c))
+        check = rules[c.rule].premise
         for i in indices:
+            sub = f"{path}.{i}"
             try:
                 p = c.premise_at(i)
-            except KernelError as e:
-                report.fail(f"{path}.{i}", str(e))
+            except RecursionError:
+                raise
+            except Exception as e:
+                report.fail(sub, f"premise generation failed: {e!r}")
                 continue
-            msg = None
-            if c.rule == "le_intro" and not c.conclusion.lhs.is_zero:
-                msg = _premise_schema_le_intro(c, i)
-            elif c.rule == "sup_le_intro":
-                msg = _premise_schema_sup(c, i)
+            if type(p) is not cls:
+                msg = foreign
+            else:
+                msg = check(c, i, p) if check is not None else None
             if msg is not None:
-                report.fail(f"{path}.{i}", msg)
+                report.fail(sub, msg)
                 continue
-            walk(p, f"{path}.{i}", depth + 1)
+            walk(p, sub, depth + 1)
 
     walk(cert, "root", 0)
     return report
+
+
+def _unless(holds: bool, reason: str) -> Optional[str]:
+    return None if holds else reason
+
+
+def _same_ends(x: Judgment, y: Judgment) -> bool:
+    return x.lhs.ident == y.lhs.ident and _ids(x.rhs) == _ids(y.rhs)
+
+
+def _bounds_each(kind: str, member: Callable[[Certificate, int], OrdName]):
+    """Premise check: premise i concludes member i of the node, in the
+    given relation, to the node's own bound set."""
+
+    def check(c: Certificate, i: int, p: Certificate) -> Optional[str]:
+        p = p.conclusion
+        if p.kind != kind:
+            return f"premise {i} must conclude {kind}"
+        want = member(c, i)
+        if want is None or p.lhs.ident != want.ident:
+            return f"premise {i} is not about member {i}"
+        return _unless(_ids(p.rhs) == _ids(c.conclusion.rhs),
+                       f"premise {i} bounds by the wrong set")
+
+    return check
+
+
+def _sup_member(c: Certificate, i: int) -> Optional[OrdName]:
+    members = c.payload
+    if isinstance(members, Family):
+        return members.at(i)
+    return members[i] if i < len(members) else None
+
+
+def _check_lt_intro(c: Certificate, ps: tuple) -> Optional[str]:
+    concl, sels = c.conclusion, c.payload
+    if len(sels) != len(concl.rhs) or all(not s for s in sels):
+        return "selections malformed"
+    if any(b.is_zero or i not in b.index
+           for b, s in zip(concl.rhs, sels) for i in s):
+        return "selection index invalid"
+    inner = ps[0]
+    return _unless(inner.lhs.ident == concl.lhs.ident
+                   and _ids(inner.rhs) == _ids(_selected(concl.rhs, sels)),
+                   "inner premise does not bound by the selection")
+
+
+def _check_trans(c: Certificate, ps: tuple) -> Optional[str]:
+    cp, cq = ps
+    if (cp.lhs.ident != c.conclusion.lhs.ident
+            or _ids(cq.rhs) != _ids(c.conclusion.rhs)):
+        return "endpoints do not match"
+    return _unless(_middle_matches(cp.rhs, cq.lhs), "middle name mismatch")
+
+
+def _check_weaken(c: Certificate, ps: tuple) -> Optional[str]:
+    cp, concl = ps[0], c.conclusion
+    return _unless(cp.kind == concl.kind and cp.lhs.ident == concl.lhs.ident
+                   and _ids(concl.rhs) == _ids(cp.rhs) | _ids(c.payload),
+                   "weaken changes only the bound set")
+
+
+def _suc_bound(x: Judgment, y: Judgment) -> bool:
+    """x bounds y's lhs by the successor of y's single bound."""
+    return (len(x.rhs) == 1 == len(y.rhs) and _is_suc(x.rhs[0])
+            and x.rhs[0].child(0).ident == y.rhs[0].ident
+            and x.lhs.ident == y.lhs.ident)
+
+
+def _suc_lhs(x: Judgment, y: Judgment) -> bool:
+    """x's lhs is the successor of y's, under the same bounds."""
+    return (_is_suc(x.lhs) and x.lhs.child(0).ident == y.lhs.ident
+            and _ids(x.rhs) == _ids(y.rhs))
+
+
+def _check_sup_le(c: Certificate, ps: tuple) -> Optional[str]:
+    members = c.payload
+    if not sup_decomposition(c.conclusion.lhs, members):
+        return "lhs is not the sup of the claimed members"
+    if isinstance(members, Family):
+        return _unless(c.generated, "a member family needs generated premises")
+    return _unless(c.generated or len(c.premises) == len(members),
+                   "one premise per member")
+
+
+def _check_sup_lt(c: Certificate, ps: tuple) -> Optional[str]:
+    concl = c.conclusion
+    if len(concl.rhs) != 1 or any(
+            len(p.rhs) != 1 or p.rhs[0].ident != concl.rhs[0].ident
+            for p in ps):
+        return "premises must share the conclusion's single bound"
+    return _unless(sup_decomposition(concl.lhs, (ps[0].lhs, ps[1].lhs)),
+                   "lhs is not the sup of the premise names")
+
+
+def _check_cut_left(c: Certificate, ps: tuple) -> Optional[str]:
+    (cp, cq), concl, (other,) = ps, c.conclusion, c.payload
+    if (len(cp.rhs) != 1 or len(cq.rhs) != 1 or len(concl.rhs) != 1
+            or cp.rhs[0].ident != cq.lhs.ident
+            or cq.lhs.ident != concl.lhs.ident
+            or concl.rhs[0].ident != other.ident):
+        return "endpoints do not wire up"
+    return _unless(sup_decomposition(cq.rhs[0], (other, cp.lhs)),
+                   "bound is not the sup of remainder and cut name")
+
+
+def _check_drop_left(c: Certificate, ps: tuple) -> Optional[str]:
+    cp, concl, (other,) = ps[0], c.conclusion, c.payload
+    if (len(cp.rhs) != 1 or len(concl.rhs) != 1
+            or cp.lhs.ident != concl.lhs.ident
+            or concl.rhs[0].ident != other.ident):
+        return "endpoints do not wire up"
+    return _unless(sup_decomposition(cp.rhs[0], (cp.lhs, other)),
+                   "bound is not the sup of lhs and remainder")
+
+
+_SUC = "successor conversion shape"
+
+_RULES = {
+    "le_intro": Rule(None, "le",
+                     lambda c, ps: subordinal_arity(c.conclusion.lhs, c),
+                     _bounds_each("lt", lambda c, i: c.conclusion.lhs.child(i))),
+    "lt_intro": Rule(("le",), "lt", _check_lt_intro),
+    "trans_le_le": Rule(("le", "le"), "le", _check_trans),
+    "trans_lt_le": Rule(("lt", "le"), "lt", _check_trans),
+    "trans_le_lt": Rule(("le", "lt"), "lt", _check_trans),
+    "weaken": Rule((None,), None, _check_weaken),
+    "contract": Rule((None,), None, lambda c, ps: _unless(
+        ps[0].kind == c.kind and _same_ends(ps[0], c.conclusion),
+        "contract preserves the bound set")),
+    "lt_to_le": Rule(("lt",), "le", lambda c, ps: _unless(
+        _same_ends(ps[0], c.conclusion), "endpoints must be unchanged")),
+    "lt_suc_of_le": Rule(("le",), "lt", lambda c, ps: _unless(
+        _suc_bound(c.conclusion, ps[0]), _SUC)),
+    "le_of_lt_suc": Rule(("lt",), "le", lambda c, ps: _unless(
+        _suc_bound(ps[0], c.conclusion), _SUC)),
+    "suc_le_of_lt": Rule(("lt",), "le", lambda c, ps: _unless(
+        _suc_lhs(c.conclusion, ps[0]), _SUC)),
+    "lt_of_suc_le": Rule(("le",), "lt", lambda c, ps: _unless(
+        _suc_lhs(ps[0], c.conclusion), _SUC)),
+    "sup_le_intro": Rule(None, "le", _check_sup_le,
+                         _bounds_each("le", _sup_member)),
+    "sup_lt": Rule(("lt", "lt"), "lt", _check_sup_lt),
+    "cut_left": Rule(("lt", "le"), "le", _check_cut_left),
+    "drop_left": Rule(("lt",), "lt", _check_drop_left),
+}
+
+
+def verify(cert: Certificate, policy: VerifyPolicy = Exhaustive()) -> VerifyReport:
+    """Walk the certificate and rederive every visited conclusion; the
+    policies are those of check_derivation."""
+    return check_derivation(cert, policy, Certificate, _RULES)
 
 
 def incompatible(p: Certificate, q: Certificate) -> bool:
@@ -708,13 +735,24 @@ def le_cert(a: OrdName, bs, fuel: Fuel = SEARCH_FUEL, limit: int = 48,
     limit caps selection sizes (scaled up for deep premises), budget the
     recursion depth, steps the total nodes expanded.  The result carries no
     authority of its own; verify it."""
-    return _search_le(a, _rhs(bs), fuel, limit, budget, _SearchState(steps))
+    return _search("le", a, bs, fuel, limit, budget, steps)
 
 
 def lt_cert(a: OrdName, bs, fuel: Fuel = SEARCH_FUEL, limit: int = 48,
             budget: int = 256, steps: int = SEARCH_STEPS) -> Certificate:
     """Search for a certificate of a < bs."""
-    return _search_lt(a, _rhs(bs), fuel, limit, budget, _SearchState(steps))
+    return _search("lt", a, bs, fuel, limit, budget, steps)
+
+
+def _search(kind: str, a: OrdName, bs, fuel: Fuel, limit: int, budget: int,
+            steps: int) -> Certificate:
+    st = _SearchState(steps)
+    try:
+        return _settle(kind, a, _rhs(bs), fuel, limit, budget, st)
+    finally:
+        # Generated premises close over st, so a memo that outlived the
+        # search would tie found certificates into reference cycles.
+        st.memo.clear()
 
 
 def _spend(budget: int, st: _SearchState) -> None:
@@ -723,16 +761,20 @@ def _spend(budget: int, st: _SearchState) -> None:
     st.steps -= 1
 
 
-def _search_le(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
-               st: _SearchState) -> Certificate:
-    key = ("le", a.ident, tuple(sorted(b.ident for b in bs)))
+def _settle(kind: str, a: OrdName, bs: tuple, fuel: Fuel, limit: int,
+            budget: int, st: _SearchState) -> Certificate:
+    """Certificate of a <= bs or a < bs (kind "le" or "lt"), memoized in
+    st: found certificates, and failures with the selection limit tried."""
+    key = (kind, a.ident, tuple(sorted(b.ident for b in bs)))
     hit = _memo_get(st, key, limit)
     if hit is not None:
         if hit is _DEAD_END:
-            raise CertSearchError(f"known dead end: {a!r} <= {list(bs)!r}")
+            op = "<=" if kind == "le" else "<"
+            raise CertSearchError(f"known dead end: {a!r} {op} {list(bs)!r}")
         return hit
+    body = _le_body if kind == "le" else _lt_body
     try:
-        cert = _le_body(a, bs, fuel, limit, budget, st)
+        cert = body(a, bs, fuel, limit, budget, st)
     except CertSearchError:
         # budget- or step-starved failures are circumstance, not verdict
         if st.steps > 0 and budget > 0:
@@ -760,7 +802,7 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
             # deep premises may need selections about as wide as their index
             # or, for successor stacks such as member i of k+w, as their height
             member = a.child(i)
-            memo[i] = _search_lt(member, bs, fuel,
+            memo[i] = _settle("lt", member, bs, fuel,
                                  max(limit, i + 2, _peel_height(member) + 2),
                                  budget - 1, st)
         return memo[i]
@@ -821,24 +863,6 @@ def _lt_candidates(bs: tuple, limit: int):
         yield tuple(tuple(range(min(m, k))) for k in arities)
 
 
-def _search_lt(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
-               st: _SearchState) -> Certificate:
-    key = ("lt", a.ident, tuple(sorted(b.ident for b in bs)))
-    hit = _memo_get(st, key, limit)
-    if hit is not None:
-        if hit is _DEAD_END:
-            raise CertSearchError(f"known dead end: {a!r} < {list(bs)!r}")
-        return hit
-    try:
-        cert = _lt_body(a, bs, fuel, limit, budget, st)
-    except CertSearchError:
-        if st.steps > 0 and budget > 0:
-            _memo_fail(st, key, limit)
-        raise
-    st.memo[key] = ("ok", cert)
-    return cert
-
-
 _HEIGHT_MEMO: dict = {}
 
 
@@ -890,7 +914,8 @@ def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
         if compare.le(a, sel_names, fuel).is_false:
             continue
         try:
-            inner = _search_le(a, sel_names, fuel, limit, budget - 1, st)
+            inner = _settle("le", a, sel_names, fuel, limit, budget - 1,
+                            st)
         except CertSearchError:
             if st.steps <= 0:
                 raise

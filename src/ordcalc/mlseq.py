@@ -11,9 +11,11 @@ Zero has no subordinals, so R2 gives every sequent containing 0 <= b outright.
 ``ml_derivable`` decides derivability of finitary sequents by a forward
 closure that tracks the minimal derivable sequents; side contexts make
 derivability upward closed, so tracking minima loses nothing.  Certificates
-mirror the two rules; one per subordinal premises of a naturally indexed
-node are generator-backed, exactly as in the comparison kernel, and are
-spot-checked.
+mirror the two rules.  They are comparison-kernel certificates with a
+sequent as conclusion, built and checked by the kernel's code: R2 shares
+le_intro's one premise per subordinal (generator-backed below a naturally
+indexed node, and spot-checked there), and ``ml_verify`` is the kernel's
+walker run over a two-entry rule table.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
-from .kernel import Exhaustive, KernelError, SpotCheck, VerifyReport
-from .names import BitSeq, Fin, NAT, Index, OrdName, ZERO, eps_lpo, und
+from .kernel import (Certificate, Exhaustive, KernelError, Rule, VerifyReport,
+                     check_derivation, subordinal_arity, subordinal_premises)
+from .names import (BitSeq, Index, OrdName, ZERO, eps_lpo, structural_depth,
+                    und)
 
 
 @dataclass(frozen=True)
@@ -139,42 +143,25 @@ def ml_derivable(goal: Sequent) -> bool:
 # certificates
 
 
-class MlCertificate:
-    """One rule application on sequents; premises may be generator-backed."""
+class MlCertificate(Certificate):
+    """One rule application on sequents: a kernel certificate whose
+    conclusion is a sequent, plus the principal atom and R1's choice."""
 
-    __slots__ = ("rule", "conclusion", "principal", "choice", "premises",
-                 "gen_index", "_gen", "_gen_cache")
+    __slots__ = ("principal", "choice")
 
     def __init__(self, rule: str, conclusion: Sequent, principal: Atom,
                  choice: Optional[int] = None,
                  premises: Tuple["MlCertificate", ...] = (),
                  gen_index: Optional[Index] = None,
                  gen: Optional[Callable[[int], "MlCertificate"]] = None):
-        self.rule = rule
-        self.conclusion = conclusion
+        super().__init__(rule, conclusion, premises, gen_index, gen)
         self.principal = principal
         self.choice = choice
-        self.premises = premises
-        self.gen_index = gen_index
-        self._gen = gen
-        self._gen_cache: dict = {}
 
     @property
-    def generated(self) -> bool:
-        return self._gen is not None
-
-    def premise_at(self, i: int) -> "MlCertificate":
-        if self._gen is None:
-            return self.premises[i]
-        if i not in self.gen_index:
-            raise IndexError(f"premise index {i!r} outside {self.gen_index!r}")
-        hit = self._gen_cache.get(i)
-        if hit is None:
-            hit = self._gen(i)
-            if not isinstance(hit, MlCertificate):
-                raise KernelError("premise generator returned a non-certificate")
-            self._gen_cache[i] = hit
-        return hit
+    def kind(self) -> str:
+        """The principal atom's relation: R1 concludes lt, R2 le."""
+        return self.principal.rel
 
     def __repr__(self) -> str:
         return f"<mlcert {self.rule} |{len(self.conclusion)} atoms|>"
@@ -202,28 +189,15 @@ def ml_r2(conclusion: Iterable[Atom], principal: Atom,
     conclusion = sequent(conclusion)
     if principal.rel != "le" or principal not in conclusion:
         raise KernelError("principal must be a non-strict atom of the conclusion")
-    w = principal.lhs
-    if w.is_zero:
-        if premises or gen:
-            raise KernelError("zero takes no premises")
-        return MlCertificate("r2", conclusion, principal)
-    if isinstance(w.index, Fin):
-        if gen is not None or premises is None:
-            raise KernelError("finitely branching principal takes a premise tuple")
-        premises = tuple(premises)
-        if len(premises) != w.index.size:
-            raise KernelError("one premise per subordinal")
-        return MlCertificate("r2", conclusion, principal, premises=premises)
-    if gen is None or premises:
-        raise KernelError("naturally indexed principal takes a premise generator")
-    return MlCertificate("r2", conclusion, principal, gen_index=NAT, gen=gen)
+    return MlCertificate("r2", conclusion, principal,
+                         **subordinal_premises(principal.lhs, premises, gen))
 
 
-def _check_r1(c: MlCertificate, premise: Sequent) -> Optional[str]:
-    p, n = c.principal, c.choice
+def _check_r1(c: MlCertificate, ps: tuple) -> Optional[str]:
+    p, n, premise = c.principal, c.choice, ps[0]
     w = p.rhs
-    if p.rel != "lt" or p not in c.conclusion:
-        return "principal missing or not strict"
+    if p not in c.conclusion:
+        return "principal missing from the conclusion"
     if w.is_zero or n is None or n not in w.index:
         return "choice index invalid"
     q = Atom(p.lhs, "le", w.child(n))
@@ -236,8 +210,15 @@ def _check_r1(c: MlCertificate, premise: Sequent) -> Optional[str]:
     return None
 
 
-def _check_r2_premise(c: MlCertificate, i: int, premise: Sequent) -> Optional[str]:
-    p = c.principal
+def _check_r2(c: MlCertificate, ps: tuple) -> Optional[str]:
+    if c.principal not in c.conclusion:
+        return "principal missing from the conclusion"
+    return subordinal_arity(c.principal.lhs, c)
+
+
+def _check_r2_premise(c: MlCertificate, i: int,
+                      prem: MlCertificate) -> Optional[str]:
+    p, premise = c.principal, prem.conclusion
     q = Atom(p.lhs.child(i), "lt", p.rhs)
     gamma = c.conclusion - {p}
     if q not in premise:
@@ -249,116 +230,48 @@ def _check_r2_premise(c: MlCertificate, i: int, premise: Sequent) -> Optional[st
     return None
 
 
+_RULES = {
+    "r1": Rule((None,), "lt", _check_r1),
+    "r2": Rule(None, "le", _check_r2, _check_r2_premise),
+}
+
+
 def ml_verify(cert: MlCertificate, policy=Exhaustive()) -> VerifyReport:
-    """Rederive every visited rule instance; same policies as the kernel."""
-    report = VerifyReport(ok=True)
-    spot = policy if isinstance(policy, SpotCheck) else None
-    if spot is None and not isinstance(policy, Exhaustive):
-        raise KernelError(f"unknown verification policy: {policy!r}")
-
-    def walk(c: MlCertificate, path: str, depth: int) -> None:
-        if spot is not None and depth > spot.depth:
-            return
-        report.visited += 1
-        if not isinstance(c, MlCertificate):
-            report.fail(path, "not a certificate")
-            return
-        if c.rule == "r1":
-            if c.generated or len(c.premises) != 1:
-                report.fail(path, "r1 takes one premise")
-                return
-            prem = c.premises[0]
-            msg = _check_r1(c, prem.conclusion)
-            if msg is not None:
-                report.fail(path, msg)
-                return
-            walk(prem, f"{path}.0", depth + 1)
-            return
-        if c.rule == "r2":
-            p = c.principal
-            if p.rel != "le" or p not in c.conclusion:
-                report.fail(path, "principal missing or not le")
-                return
-            w = p.lhs
-            if w.is_zero:
-                if c.premises or c.generated:
-                    report.fail(path, "zero takes no premises")
-                return
-            if c.generated:
-                if spot is None:
-                    raise KernelError(
-                        "exhaustive verification is only meaningful for "
-                        "finitely branching certificates; use SpotCheck")
-                indices = [s for s in spot.samples if s in c.gen_index]
-                if not indices:
-                    report.fail(path, "no sample index fits the premise family")
-                    return
-            else:
-                if not isinstance(w.index, Fin) or len(c.premises) != w.index.size:
-                    report.fail(path, "one premise per subordinal")
-                    return
-                indices = range(w.index.size)
-            for i in indices:
-                try:
-                    prem = c.premise_at(i)
-                except RecursionError:
-                    raise
-                except Exception as e:
-                    report.fail(f"{path}.{i}", f"premise generation failed: {e}")
-                    continue
-                msg = _check_r2_premise(c, i, prem.conclusion)
-                if msg is not None:
-                    report.fail(f"{path}.{i}", msg)
-                    continue
-                walk(prem, f"{path}.{i}", depth + 1)
-            return
-        report.fail(path, f"unknown rule {c.rule!r}")
-
-    walk(cert, "root", 0)
-    return report
+    """Rederive every visited rule instance; the kernel's walker and
+    policies (kernel.check_derivation)."""
+    return check_derivation(cert, policy, MlCertificate, _RULES)
 
 
 # ---------------------------------------------------------------------------
 # certificate builders for true finitary atoms
 
 
-def _height(n: OrdName, cache: dict) -> int:
-    hit = cache.get(n.ident)
-    if hit is None:
-        hit = 0 if n.is_zero else 1 + max(
-            _height(n.child(i), cache) for i in range(n.index.size))
-        cache[n.ident] = hit
-    return hit
-
-
-def _cert_le_atom(x: OrdName, y: OrdName, side: Sequent,
-                  cache: dict) -> MlCertificate:
-    if _height(x, cache) > _height(y, cache):
+def _cert_le_atom(x: OrdName, y: OrdName, side: Sequent) -> MlCertificate:
+    if structural_depth(x) > structural_depth(y):
         raise KernelError(f"cannot derive {x!r} <= {y!r}")
     head = Atom(x, "le", y)
     concl = side | {head}
     if x.is_zero:
         return ml_r2(concl, head)
-    prem = tuple(_cert_lt_atom(x.child(i), y, side, cache)
+    prem = tuple(_cert_lt_atom(x.child(i), y, side)
                  for i in range(x.index.size))
     return ml_r2(concl, head, premises=prem)
 
 
-def _cert_lt_atom(x: OrdName, y: OrdName, side: Sequent,
-                  cache: dict) -> MlCertificate:
-    hx = _height(x, cache)
-    if y.is_zero or hx >= _height(y, cache):
+def _cert_lt_atom(x: OrdName, y: OrdName, side: Sequent) -> MlCertificate:
+    hx = structural_depth(x)
+    if y.is_zero or hx >= structural_depth(y):
         raise KernelError(f"cannot derive {x!r} < {y!r}")
     n = next(i for i in range(y.index.size)
-             if _height(y.child(i), cache) >= hx)
+             if structural_depth(y.child(i)) >= hx)
     head = Atom(x, "lt", y)
-    inner = _cert_le_atom(x, y.child(n), side, cache)
+    inner = _cert_le_atom(x, y.child(n), side)
     return ml_r1(side | {head}, head, n, inner)
 
 
 def ml_le_refl_cert(a: OrdName) -> MlCertificate:
     """Certificate of the singleton sequent a <= a, finitary a."""
-    return _cert_le_atom(a, a, frozenset(), {})
+    return _cert_le_atom(a, a, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +292,6 @@ def ml_cert_exa123(u: BitSeq) -> MlCertificate:
     for an opaque tail.
     """
     a, b = eps_lpo(u)
-    cache: dict = {}
     p_top = Atom(a, "lt", b)
     c0 = frozenset({p_top})
     v0 = b.child(0)
@@ -390,14 +302,14 @@ def ml_cert_exa123(u: BitSeq) -> MlCertificate:
         # sequent {a < b, und(u_n) < v0}
         x = und(u.at(n))
         if u.at(n) <= u.at(0):
-            return _cert_lt_atom(x, v0, c0, cache)
+            return _cert_lt_atom(x, v0, c0)
         # u_n exceeds u_0: name that n and bound a by b's n-th member
         q_atom = Atom(x, "lt", v0)
         side = frozenset({q_atom})
         vn = b.child(n)
         inner = ml_r2(
             side | {Atom(a, "le", vn)}, Atom(a, "le", vn),
-            gen=lambda m: _cert_lt_atom(und(u.at(m)), vn, side, cache))
+            gen=lambda m: _cert_lt_atom(und(u.at(m)), vn, side))
         return ml_r1(side | {p_top}, p_top, n, inner)
 
     middle = ml_r2(c1, q1, gen=low_premise)
