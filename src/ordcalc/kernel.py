@@ -439,13 +439,22 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
     outright on certificates with generated premises.  SpotCheck visits
     finite premises exhaustively and generated ones at the sample indices,
     descending at most its depth.  A premise that cannot be generated, or
-    is not of type cls, fails at its own path and is not descended into."""
+    is not of type cls, fails at its own path and is not descended into; a
+    rule check that raises on a malformed payload fails its node."""
     report = VerifyReport(ok=True)
     spot = policy if isinstance(policy, SpotCheck) else None
     if spot is None and not isinstance(policy, Exhaustive):
         raise KernelError(f"unknown verification policy: {policy!r}")
     foreign = f"not a certificate of this calculus ({cls.__name__})"
     seen_exhaustive: set = set()
+
+    def guarded(check: Callable[..., Optional[str]], *args) -> Optional[str]:
+        try:
+            return check(*args)
+        except RecursionError:
+            raise
+        except Exception as e:
+            return f"malformed payload: {e!r}"
 
     def local(c: Certificate) -> Optional[str]:
         rule = rules.get(c.rule)
@@ -454,7 +463,7 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
         if rule.concl is not None and c.kind != rule.concl:
             return f"{c.rule} concludes {rule.concl}"
         if rule.kinds is None:
-            return rule.check(c, ())
+            return guarded(rule.check, c, ())
         if c.generated or len(c.premises) != len(rule.kinds):
             return f"{c.rule} takes {len(rule.kinds)} premises"
         if any(type(p) is not cls for p in c.premises):
@@ -462,7 +471,8 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
         if any(k is not None and p.kind != k
                for p, k in zip(c.premises, rule.kinds)):
             return "premise kinds do not fit the rule"
-        return rule.check(c, tuple(p.conclusion for p in c.premises))
+        return guarded(rule.check, c,
+                       tuple(p.conclusion for p in c.premises))
 
     def walk(c: Certificate, path: str, depth: int) -> None:
         if spot is not None and depth > spot.depth:
@@ -500,7 +510,7 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
             if type(p) is not cls:
                 msg = foreign
             else:
-                msg = check(c, i, p) if check is not None else None
+                msg = guarded(check, c, i, p) if check is not None else None
             if msg is not None:
                 report.fail(sub, msg)
                 continue

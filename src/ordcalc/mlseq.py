@@ -10,7 +10,9 @@ Zero has no subordinals, so R2 gives every sequent containing 0 <= b outright.
 
 ``ml_derivable`` decides derivability of finitary sequents by a forward
 closure that tracks the minimal derivable sequents; side contexts make
-derivability upward closed, so tracking minima loses nothing.  Certificates
+derivability upward closed, so tracking minima loses nothing.  The closure
+is a semi-naive worklist: each new sequent meets the known ones once,
+through an index from atom to the minimal sequents holding it.  Certificates
 mirror the two rules.  They are comparison-kernel certificates with a
 sequent as conclusion, built and checked by the kernel's code: R2 shares
 le_intro's one premise per subordinal (generator-backed below a naturally
@@ -84,59 +86,73 @@ def ml_derivable(goal: Sequent) -> bool:
     """Is the sequent derivable by the two rules?
 
     Saturates the set of minimal derivable sequents over the goal's subterm
-    universe: seeds are the zero-rule instances {0 <= b}, R1 rewrites one
-    atom of a known sequent, R2 combines known sequents, one per subordinal.
-    The universe is finite, so the closure terminates.
+    universe by a semi-naive worklist: seeds are the zero-rule instances
+    {0 <= b}, and each sequent, once popped, meets the known ones only
+    through an index from atom to the minimal sequents containing it.  R1
+    rewrites one of its non-strict atoms; R2 puts it in one subordinal slot
+    and fills the others from the index.  Atoms are coded as ints over the
+    universe.  The universe is finite, so the closure terminates.
     """
     goal = sequent(goal)
     names = _universe(goal)
-    nodes = [n for n in names if not n.is_zero]
+    size = len(names)
+    pos = {n.ident: p for p, n in enumerate(names)}
+
+    def code(x: int, y: int, strict: int) -> int:
+        return (x * size + y) * 2 + strict
+
+    kids = {pos[w.ident]: [pos[w.child(i).ident] for i in range(w.index.size)]
+            for w in names if not w.is_zero}
     parents: dict = {}
-    for w in nodes:
-        for n in range(w.index.size):
-            parents.setdefault(w.child(n).ident, []).append((w, n))
+    for w, cs in kids.items():
+        for i, c in enumerate(cs):
+            parents.setdefault(c, []).append((w, i))
+    target = frozenset(code(pos[a.lhs.ident], pos[a.rhs.ident], a.rel == "lt")
+                       for a in goal)
 
-    minimal: List[Sequent] = []
+    index: dict = {}  # atom -> the minimal sequents containing it
+    live: set = set()
+    queue: List[FrozenSet[int]] = []
 
-    def subsumed(s: Sequent) -> bool:
-        return any(m <= s for m in minimal)
+    def push(s: FrozenSet[int]) -> None:
+        if any(m <= s for a in s for m in index.get(a, ())):
+            return
+        for m in list(min((index.get(a, ()) for a in s), key=len)):
+            if s <= m:
+                live.discard(m)
+                for a in m:
+                    index[a].discard(m)
+        live.add(s)
+        for a in s:
+            index.setdefault(a, set()).add(s)
+        queue.append(s)
 
-    def push(s: Sequent) -> bool:
-        if subsumed(s):
-            return False
-        minimal[:] = [m for m in minimal if not s <= m]
-        minimal.append(s)
-        return True
+    for b in range(size):
+        push(frozenset({code(pos[ZERO.ident], b, 0)}))
 
-    for b in names:
-        push(frozenset({Atom(ZERO, "le", b)}))
-
-    changed = True
-    while changed:
-        changed = False
-        for m in list(minimal):
-            for atom in m:
-                if atom.rel != "le":
-                    continue
-                for w, _n in parents.get(atom.rhs.ident, ()):
-                    c = (m - {atom}) | {Atom(atom.lhs, "lt", w)}
-                    if push(c):
-                        changed = True
-        for w in nodes:
-            k = w.index.size
-            for b in names:
-                qs = [Atom(w.child(i), "lt", b) for i in range(k)]
-                cands = [[m for m in list(minimal) if q in m] for q in qs]
-                if any(not c for c in cands):
-                    continue
-                head = Atom(w, "le", b)
-                for combo in product(*cands):
-                    gamma: set = set()
-                    for mi, qi in zip(combo, qs):
-                        gamma |= mi - {qi}
-                    if push(frozenset(gamma) | {head}):
-                        changed = True
-    return any(m <= goal for m in minimal)
+    while queue:
+        s = queue.pop()
+        if s not in live:
+            continue
+        if s <= target:
+            return True
+        for atom in s:
+            x, y = divmod(atom >> 1, size)
+            if not atom & 1:  # R1: x <= y becomes x < w for each parent w of y
+                for w, _ in parents.get(y, ()):
+                    push((s - {atom}) | {code(x, w, 1)})
+                continue
+            for w, i in parents.get(x, ()):  # R2: s fills slot i of w <= y
+                qs = [code(c, y, 1) for c in kids[w]]
+                slots = [[s] if j == i else list(index.get(q, ()))
+                         for j, q in enumerate(qs)]
+                head = code(w, y, 0)
+                for combo in product(*slots):
+                    gamma = {head}
+                    for m, q in zip(combo, qs):
+                        gamma |= m - {q}
+                    push(frozenset(gamma))
+    return any(m <= target for m in live)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ GOLDEN_CASES = {
                              "--tail", "const"], 0),
     "ml_prove_linear.txt": (["ml-prove",
                              "suc(0) < suc(suc(0)), suc(suc(0)) <= suc(0)"], 0),
+    "ml_prove_refuted.txt": (["ml-prove", "2 < 1, 3 <= 2"], 0),
     "check_laws_seed7.txt": (["check-laws", "--seed", "7", "--cases", "10"], 0),
 }
 

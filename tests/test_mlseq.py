@@ -1,12 +1,15 @@
 """The two-rule sequent calculus: derivability, certificates, divergence."""
 
+import random
+
 import pytest
 
 from ordcalc import compare
 from ordcalc.kernel import Exhaustive, KernelError, SpotCheck
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_derivable, ml_le_refl_cert,
                            ml_r1, ml_verify, sequent)
-from ordcalc.names import BitSeq, ZERO, eps_lpo, omega, suc, und
+from ordcalc.names import (BitSeq, ZERO, eps_lpo, omega, structural_depth,
+                           suc, suc_list, und)
 from ordcalc.oracle import gen_finitary
 
 
@@ -49,6 +52,46 @@ class TestDerivability:
     def test_empty_sequent_rejected(self):
         with pytest.raises(ValueError):
             sequent([])
+
+    def test_multi_atom_sequents_hold_by_one_atom(self):
+        # soundness, and single-atom completeness under a side context:
+        # a sequent is derivable exactly when one of its atoms is true
+        rng = random.Random(41)
+        falses = 0
+        for _ in range(150):
+            pool = [gen_finitary(rng.randrange(2 ** 32), max_depth=3,
+                                 max_width=3) for _ in range(3)] + [ZERO]
+            atoms = [Atom(rng.choice(pool), rng.choice(("lt", "le")),
+                          rng.choice(pool)) for _ in range(rng.randint(2, 4))]
+            want = any(
+                structural_depth(a.lhs) < structural_depth(a.rhs)
+                if a.rel == "lt" else
+                structural_depth(a.lhs) <= structural_depth(a.rhs)
+                for a in atoms)
+            falses += not want
+            assert ml_derivable(sequent(atoms)) == want, atoms
+        assert falses >= 20
+
+
+_A = und(2)
+_B = suc_list([_A, _A])  # one child at two positions
+_C = suc_list([und(1), _A, und(1)])
+
+
+@pytest.mark.parametrize("atoms, want", [
+    ([Atom(ZERO, "lt", ZERO)], False),
+    ([Atom(ZERO, "le", ZERO)], True),
+    ([Atom(_B, "le", suc(_A))], True),
+    ([Atom(_B, "lt", suc(_A))], False),
+    ([Atom(_C, "le", _B)], True),
+    ([Atom(_B, "lt", _C), Atom(_C, "le", _B)], True),
+    ([Atom(_A, "lt", ZERO), Atom(_B, "lt", _B)], False),
+    ([Atom(_B, "lt", _B), Atom(_C, "lt", _C), Atom(_A, "lt", _A),
+      Atom(ZERO, "lt", ZERO)], False),
+], ids=["0<0", "0<=0", "b<=suc-a", "b<suc-a", "c<=b", "b<c,c<=b",
+        "a<0,b<b", "four-irreflexive"])
+def test_pinned_edge_cases(atoms, want):
+    assert ml_derivable(sequent(atoms)) is want
 
 
 class TestMlVerify:

@@ -7,7 +7,8 @@ import pytest
 
 from ordcalc.arith import add
 from ordcalc.kernel import (Certificate, Exhaustive, SpotCheck, contract,
-                            eq_certs, le_intro, refl, verify, weaken)
+                            cut_left, eq_certs, le_cert, le_intro, lt_cert,
+                            refl, sup_le_intro, verify, weaken)
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_le_refl_cert, ml_r2,
                            ml_verify)
 from ordcalc.names import BitSeq, omega, sup_finite, und
@@ -81,6 +82,37 @@ class TestFailurePolicy:
         for report in reports:
             assert not report.ok
             assert len(report.failures) == 3
+
+
+def _weaken_12():
+    return weaken(refl(und(1)), (und(2),))
+
+
+def _sup_le_12():
+    return sup_le_intro(sup_finite([und(1), und(2)]), (und(1), und(2)),
+                        (und(2),), premises=(le_cert(und(1), (und(2),)),
+                                             refl(und(2))))
+
+
+def _cut_left_2():
+    return cut_left(lt_cert(und(1), (und(2),)),
+                    le_cert(und(2), (sup_finite([und(2), und(1)]),)), und(2))
+
+
+@pytest.mark.parametrize("policy", [Exhaustive(), SPOT3], ids=["exh", "spot"])
+@pytest.mark.parametrize("build, payload", [
+    (_weaken_12, ((0,),)),
+    (_sup_le_12, ((0,),)),
+    (_cut_left_2, (und(2), und(2))),
+], ids=["weaken", "sup-le-intro", "cut-left-length"])
+def test_malformed_payload_is_reported(build, payload, policy):
+    cert = build()
+    assert verify(cert, policy).ok
+    cert.payload = payload
+    report = verify(cert, policy)
+    assert not report.ok
+    assert [path for path, _ in report.failures] == ["root"]
+    assert "malformed payload" in report.failures[0][1]
 
 
 def test_search_leaves_no_certificate_cycles():
