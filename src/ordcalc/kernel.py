@@ -1,15 +1,19 @@
 """Certificate kernel for comparison judgments.
 
 A certificate is a tree (shared subtrees allowed) whose nodes each apply one
-inference rule to premise certificates and claim a conclusion.  Nothing is
-trusted at construction time beyond cheap shape checks; ``verify`` walks a
-certificate and independently rederives every visited conclusion from the
-rule and premises.  Premises below a naturally indexed family are held as a
-generator, so certificates about infinitely branching names are finite
-objects; verifying those requires a spot-check policy, since an exhaustive
-walk is only meaningful when every branching is finite.  Each rule is one
-entry of a rule table read by a single walker, ``check_derivation``; the
-sequent calculus (``mlseq``) runs the same walker over a table of its own.
+inference rule to premise certificates and claim a conclusion.  The checker
+trusts three rules: ``le_intro`` and ``lt_intro``, the defining clauses of
+<= and <, and ``weaken``; the other constructors (transitivity, cut, drop,
+the successor and sup rules) are untrusted functions that build derivations
+from those three.  ``verify`` walks a certificate and independently
+rederives every visited conclusion from the rule and premises, so nothing
+is trusted at construction time.  Premises below a naturally indexed
+family are held as a generator, so certificates about infinitely branching
+names are finite objects; verifying those requires a spot-check policy,
+since an exhaustive walk is only meaningful when every branching is finite.
+Each rule is one entry of a rule table read by a single walker,
+``check_derivation``; the sequent calculus (``mlseq``) runs the same walker
+over a table of its own.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers: they use the bounded
 comparison engine to steer toward a certificate, which is then checked like
@@ -19,12 +23,13 @@ any other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import compare
 from .compare import Fuel, Judgment
 from .names import (Family, Fin, NAT, Index, OrdName, ZERO, _mask_bits,
-                    filtering, sup_decomposition, sup_finite)
+                    filtering, suc, sup_decomposition, sup_finite, sup_order)
 
 
 class KernelError(Exception):
@@ -196,6 +201,16 @@ def _selected(bs: Tuple[OrdName, ...], selections) -> Tuple[OrdName, ...]:
     return tuple(b.child(i) for b, s in zip(bs, selections) for i in s)
 
 
+def _le_node(x: OrdName, T, prem: Callable[[int], Certificate]) -> Certificate:
+    """x <= T by le_intro with premise i from prem: a tuple below a finitely
+    branching x, a generator below a naturally indexed one."""
+    if x.is_zero:
+        return le_intro(x, T)
+    if isinstance(x.index, Fin):
+        return le_intro(x, T, premises=[prem(i) for i in range(x.index.size)])
+    return le_intro(x, T, gen=prem)
+
+
 def zero_le(bs) -> Certificate:
     return le_intro(ZERO, bs)
 
@@ -203,11 +218,9 @@ def zero_le(bs) -> Certificate:
 def zero_lt(bs) -> Certificate:
     """0 < bs whenever some bound has a subordinal at all."""
     bs = _rhs(bs)
-    for k, b in enumerate(bs):
+    for b in bs:
         if not b.is_zero:
-            sels = [()] * len(bs)
-            sels[k] = (0,)
-            return lt_intro_sel(ZERO, bs, sels, zero_le((b.child(0),)))
+            return _lt_node(ZERO, bs, [(b, 0)], zero_le)
     raise KernelError("no bound has a subordinal: nothing is below all zeros")
 
 
@@ -217,57 +230,10 @@ _refl_cache: dict = {}
 def refl(a: OrdName) -> Certificate:
     """a <= [a], built by mutual recursion with a < [a] at each subordinal."""
     hit = _refl_cache.get(a.ident)
-    if hit is not None:
-        return hit
-    if a.is_zero:
-        cert = le_intro(a, (a,))
-    elif isinstance(a.index, Fin):
-        prem = tuple(
-            lt_intro_sel(a.child(i), (a,), ((i,),), refl(a.child(i)))
-            for i in range(a.index.size))
-        cert = le_intro(a, (a,), premises=prem)
-    else:
-        cert = le_intro(
-            a, (a,),
-            gen=lambda i: lt_intro_sel(a.child(i), (a,), ((i,),),
-                                       refl(a.child(i))))
-    _refl_cache[a.ident] = cert
-    return cert
-
-
-def _expect(cert: Certificate, kind: str, role: str) -> Judgment:
-    if type(cert) is not Certificate:
-        raise KernelError(f"{role} is not a certificate")
-    if cert.conclusion.kind != kind:
-        raise KernelError(f"{role} must conclude a {kind} judgment")
-    return cert.conclusion
-
-
-def _middle_matches(rhs: Tuple[OrdName, ...], lhs: OrdName) -> bool:
-    if len(rhs) == 1 and rhs[0].ident == lhs.ident:
-        return True
-    return sup_decomposition(lhs, rhs)
-
-
-def trans_le_le(p: Certificate, q: Certificate) -> Certificate:
-    cp, cq = _expect(p, "le", "left premise"), _expect(q, "le", "right premise")
-    if not _middle_matches(cp.rhs, cq.lhs):
-        raise KernelError("middle name of the chain does not match")
-    return Certificate("trans_le_le", Judgment("le", cp.lhs, cq.rhs), (p, q))
-
-
-def trans_lt_le(p: Certificate, q: Certificate) -> Certificate:
-    cp, cq = _expect(p, "lt", "left premise"), _expect(q, "le", "right premise")
-    if not _middle_matches(cp.rhs, cq.lhs):
-        raise KernelError("middle name of the chain does not match")
-    return Certificate("trans_lt_le", Judgment("lt", cp.lhs, cq.rhs), (p, q))
-
-
-def trans_le_lt(p: Certificate, q: Certificate) -> Certificate:
-    cp, cq = _expect(p, "le", "left premise"), _expect(q, "lt", "right premise")
-    if not _middle_matches(cp.rhs, cq.lhs):
-        raise KernelError("middle name of the chain does not match")
-    return Certificate("trans_le_lt", Judgment("lt", cp.lhs, cq.rhs), (p, q))
+    if hit is None:
+        hit = _refl_cache[a.ident] = _le_node(a, (a,), lambda i: lt_intro_sel(
+            a.child(i), (a,), ((i,),), refl(a.child(i))))
+    return hit
 
 
 def weaken(p: Certificate, extra) -> Certificate:
@@ -278,24 +244,216 @@ def weaken(p: Certificate, extra) -> Certificate:
                        (p,), payload=extra)
 
 
+# ---------------------------------------------------------------------------
+# derived rules
+#
+# Untrusted: everything below builds derivations from le_intro, lt_intro and
+# weaken alone.  Bounds are matched by ident, not position, since a premise's
+# bound set need only be set-equal to its parent's.  Premises below a
+# naturally indexed name are built lazily; recursions descend the lhs.
+
+
+def _expect(cert: Certificate, kind: str, role: str) -> Judgment:
+    if type(cert) is not Certificate:
+        raise KernelError(f"{role} is not a certificate")
+    if cert.conclusion.kind != kind:
+        raise KernelError(f"{role} must conclude a {kind} judgment")
+    return cert.conclusion
+
+
+def _unweaken(p: Certificate, kind: str) -> Certificate:
+    """p's claim against part of p's bounds, by kind's defining rule."""
+    _expect(p, kind, "premise")
+    while p.rule == "weaken":
+        p = p.premises[0] if len(p.premises) == 1 else None
+        _expect(p, kind, "weakened premise")
+    if p.rule != kind + "_intro":
+        raise KernelError(f"not a {kind}_intro derivation")
+    return p
+
+
+def _le_premise(p: Certificate, i: int) -> Certificate:
+    """From p: x <= B, x.child(i) < (part of B)."""
+    q = _unweaken(p, "le")
+    r = q.premise_at(i) if not subordinal_arity(q.conclusion.lhs, q) else None
+    if type(r) is not Certificate or _check_le_premise(q, i, r):
+        raise KernelError(f"premise {i} of the le_intro does not fit it")
+    return r
+
+
+def _lt_parts(p: Certificate) -> Tuple[list, Certificate]:
+    """From p: x < B, the selected (bound, index) pairs and x <= them."""
+    q = _unweaken(p, "lt")
+    inner = q.premises[0] if len(q.premises) == 1 else None
+    _expect(inner, "le", "inner premise")
+    try:
+        reason = _check_lt_intro(q, (inner.conclusion,))
+    except (TypeError, ValueError) as e:
+        reason = f"malformed payload: {e!r}"
+    if reason:
+        raise KernelError(reason)
+    pairs = [(b, i) for b, s in zip(q.conclusion.rhs, q.payload) for i in s]
+    return pairs, inner
+
+
+def _widen(p: Certificate, T: Tuple[OrdName, ...]) -> Certificate:
+    """p against a bound set equal to T as a set; p's bounds are among T's."""
+    have = _ids(p.conclusion.rhs)
+    extra = tuple(b for b in T if b.ident not in have)
+    return weaken(p, extra) if extra else p
+
+
+def _lt_node(x: OrdName, T, pairs,
+             inner: Callable[[tuple], Certificate]) -> Certificate:
+    """x < T selecting the (bound, index) pairs, bounds matched into T;
+    inner(S) must show x <= S for the selected subordinals S."""
+    T = _rhs(T)
+    where = {b.ident: k for k, b in reversed(list(enumerate(T)))}
+    sels: list = [set() for _ in T]
+    for b, i in pairs:
+        if b.ident not in where:
+            raise KernelError(f"{b!r} is not among the bounds")
+        sels[where[b.ident]].add(i)
+    sels = tuple(tuple(sorted(s)) for s in sels)
+    return lt_intro_sel(x, T, sels, inner(_selected(T, sels)))
+
+
+def _chain(p: Certificate, up: dict, T) -> Certificate:
+    """From p: x <= M (or x < M) and up[m.ident]: m <= (part of T) for each
+    bound m that p's selections reach, x <= T (or x < T).  The lt case
+    lifts each selected m.child(j) < T out of up[m] and recurses into p's
+    inner premise with those lifts as its middle."""
+    T = _rhs(T)
+    x = p.conclusion.lhs
+    if p.kind == "le":
+        return _le_node(x, T, lambda i: _chain(_le_premise(p, i), up, T))
+    pairs, inner = _lt_parts(p)
+    lifted, below = [], {}
+    for m, j in pairs:
+        if m.ident not in up:
+            raise KernelError(f"{m!r} is not a middle bound")
+        more, below[m.child(j).ident] = _lt_parts(_le_premise(up[m.ident], j))
+        lifted += more
+    return _lt_node(x, T, lifted, lambda S: _chain(inner, below, S))
+
+
+def _refls(T) -> dict:
+    """The middle of a chain that only regroups T: b <= [b]."""
+    return {b.ident: refl(b) for b in T}
+
+
+def _member_le(b: OrdName, i: int) -> Certificate:
+    """b.child(i) <= [b]: its subordinals are below b by the selection {i}."""
+    y = b.child(i)
+    return _le_node(y, (b,), lambda k: lt_intro_sel(
+        y.child(k), (b,), ((i,),), _member_le(y, k)))
+
+
+def _sup_le(s: OrdName, members, T,
+            prem: Callable[[int], Certificate]) -> Certificate:
+    """s <= T for s the sup of members from prem(j): member j <= (part of
+    T).  Premise k of s is premise i of member j, (j, i) = sup_order[k]."""
+    got: dict = {}
+
+    def premise(k: int) -> Certificate:
+        j, i = next(islice(sup_order(members), k, None))
+        if j not in got:
+            got[j] = prem(j)
+        return _widen(_le_premise(got[j], i), T)
+
+    return _le_node(s, T, premise)
+
+
+def _sup_member_le(q: Certificate, y: OrdName) -> Certificate:
+    """From q: s <= T, y <= T for a member y of the sup s: premise i of y is
+    q's premise where s lists y.child(i)."""
+    s, T = q.conclusion.lhs, q.conclusion.rhs
+
+    def premise(i: int) -> Certificate:
+        z = y.child(i).ident
+        return _widen(_le_premise(q, next(
+            k for k in count() if s.child(k).ident == z)), T)
+
+    return _le_node(y, T, premise)
+
+
+def _spread(s: OrdName, members: tuple) -> Certificate:
+    """s <= members, for s the sup of members."""
+    return _sup_le(s, members, members, lambda j: refl(members[j]))
+
+
+def _strict(p: Certificate, x: OrdName, B) -> Certificate:
+    """From p: x < (bounds among B and x), x < B: the subordinals of x that
+    p selects, unless also selected through B, are cut via their sup g."""
+    pairs, inner = _lt_parts(p)
+    in_b = _ids(B)
+    if any(b.ident not in in_b | {x.ident} for b, _ in pairs):
+        raise KernelError("a selected bound is neither the lhs nor in the set")
+    others = [(b, i) for b, i in pairs if b.ident in in_b]
+    rest = tuple(b.child(i) for b, i in others)
+    own = {x.child(i).ident: i for b, i in pairs if b.ident not in in_b
+           and x.child(i).ident not in _ids(rest)}
+    if own:
+        ys = tuple(x.child(i) for i in own.values())
+        g = sup_finite(ys)
+        below_x = _lt_node(g, (x,), [(x, i) for i in own.values()],
+                           lambda S: _spread(g, ys))
+        up = _refls(rest)
+        up.update((y.ident, _sup_member_le(refl(g), y)) for y in ys)
+        inner = _cut(below_x, _chain(inner, up, rest + (g,)), rest)
+    return _lt_node(x, B, others, lambda S: inner)
+
+
+def _cut(pc: Certificate, q: Certificate, B) -> Certificate:
+    """From pc: c < [x] and q: x <= (bounds among B and c), x <= B: drop c's
+    own subordinals from c < B and c (_strict), and chain c <= B into q."""
+    c, x = pc.conclusion.lhs, q.conclusion.lhs
+    up = _refls(B)
+    if c.ident not in up:
+        up[c.ident] = lt_to_le(_strict(_chain(pc, {x.ident: q}, B + (c,)),
+                                       c, B))
+    return _chain(q, up, B)
+
+
+def _through(rhs: Tuple[OrdName, ...], q: Certificate) -> dict:
+    """The middle of a chain from q: mid <= C, mid rhs's one bound or sup."""
+    mid = q.conclusion.lhs
+    if rhs != (mid,) and not sup_decomposition(mid, rhs):
+        raise KernelError("middle name of the chain does not match")
+    return {m.ident: q if rhs == (mid,) else _sup_member_le(q, m)
+            for m in rhs}
+
+
+def trans_le_le(p: Certificate, q: Certificate) -> Certificate:
+    cp, cq = _expect(p, "le", "left premise"), _expect(q, "le", "right premise")
+    return _chain(p, _through(cp.rhs, q), cq.rhs)
+
+
+def trans_lt_le(p: Certificate, q: Certificate) -> Certificate:
+    cp, cq = _expect(p, "lt", "left premise"), _expect(q, "le", "right premise")
+    return _chain(p, _through(cp.rhs, q), cq.rhs)
+
+
+def trans_le_lt(p: Certificate, q: Certificate) -> Certificate:
+    cp, cq = _expect(p, "le", "left premise"), _expect(q, "lt", "right premise")
+    pairs, inner = _lt_parts(q)
+    up = _through(cp.rhs, inner)
+    return _lt_node(cp.lhs, cq.rhs, pairs, lambda S: _chain(p, up, S))
+
+
 def contract(p: Certificate) -> Certificate:
     """Drop duplicate bounds."""
-    c = p.conclusion
-    seen, out = set(), []
-    for b in c.rhs:
-        if b.ident not in seen:
-            seen.add(b.ident)
-            out.append(b)
-    return Certificate("contract", Judgment(c.kind, c.lhs, tuple(out)), (p,))
+    out = tuple({b.ident: b for b in p.conclusion.rhs}.values())
+    return _chain(p, _refls(out), out)
 
 
 def lt_to_le(p: Certificate) -> Certificate:
+    """From a < bs conclude a <= bs: a is below the selection, and each
+    selected subordinal is below its bound."""
     c = _expect(p, "lt", "premise")
-    return Certificate("lt_to_le", Judgment("le", c.lhs, c.rhs), (p,))
-
-
-def _is_suc(n: OrdName) -> bool:
-    return (not n.is_zero) and isinstance(n.index, Fin) and n.index.size == 1
+    pairs, inner = _lt_parts(p)
+    up = {b.child(i).ident: _member_le(b, i) for b, i in pairs}
+    return _chain(inner, up, c.rhs)
 
 
 def lt_suc_of_le(p: Certificate) -> Certificate:
@@ -303,35 +461,30 @@ def lt_suc_of_le(p: Certificate) -> Certificate:
     c = _expect(p, "le", "premise")
     if len(c.rhs) != 1:
         raise KernelError("needs a single bound")
-    from .names import suc
-    return Certificate("lt_suc_of_le",
-                       Judgment("lt", c.lhs, (suc(c.rhs[0]),)), (p,))
+    return lt_intro_sel(c.lhs, (suc(c.rhs[0]),), ((0,),), p)
 
 
 def le_of_lt_suc(p: Certificate) -> Certificate:
     """From a < [suc b] conclude a <= [b]."""
     c = _expect(p, "lt", "premise")
-    if len(c.rhs) != 1 or not _is_suc(c.rhs[0]):
+    if len(c.rhs) != 1 or c.rhs[0].index != Fin(1):
         raise KernelError("bound must be a single unary node")
-    return Certificate("le_of_lt_suc",
-                       Judgment("le", c.lhs, (c.rhs[0].child(0),)), (p,))
+    b = c.rhs[0].child(0)
+    return _chain(_lt_parts(p)[1], _refls((b,)), (b,))
 
 
 def suc_le_of_lt(p: Certificate) -> Certificate:
     """From b < [a] conclude suc b <= [a]."""
     c = _expect(p, "lt", "premise")
-    from .names import suc
-    return Certificate("suc_le_of_lt",
-                       Judgment("le", suc(c.lhs), c.rhs), (p,))
+    return le_intro(suc(c.lhs), c.rhs, premises=(p,))
 
 
 def lt_of_suc_le(p: Certificate) -> Certificate:
     """From suc b <= [a] conclude b < [a]."""
     c = _expect(p, "le", "premise")
-    if not _is_suc(c.lhs):
+    if c.lhs.index != Fin(1):
         raise KernelError("lhs must be a unary node")
-    return Certificate("lt_of_suc_le",
-                       Judgment("lt", c.lhs.child(0), c.rhs), (p,))
+    return _chain(_le_premise(p, 0), _refls(c.rhs), c.rhs)
 
 
 def sup_le_intro(s: OrdName, members, bs,
@@ -341,26 +494,20 @@ def sup_le_intro(s: OrdName, members, bs,
     flattened sup of the given members; a naturally indexed member family
     takes a premise generator instead of a tuple."""
     bs = _rhs(bs)
-    if isinstance(members, Family):
-        if not sup_decomposition(s, members):
-            raise KernelError("name is not the sup of the claimed family")
-        if gen is None or premises is not None:
-            raise KernelError("a member family takes a premise generator")
-        return Certificate("sup_le_intro", Judgment("le", s, bs),
-                           gen_index=members.index, gen=gen, payload=members)
-    members = tuple(members)
+    fam = isinstance(members, Family)
+    members = members if fam else tuple(members)
     if not sup_decomposition(s, members):
-        raise KernelError("name is not the sup of the claimed members")
-    if gen is not None:
-        if premises is not None:
-            raise KernelError("pass premises or a generator, not both")
-        return Certificate("sup_le_intro", Judgment("le", s, bs),
-                           gen_index=NAT, gen=gen, payload=members)
-    premises = tuple(premises or ())
-    if len(premises) != len(members):
-        raise KernelError("one premise per member")
-    return Certificate("sup_le_intro", Judgment("le", s, bs),
-                       premises=premises, payload=members)
+        raise KernelError("name is not the sup of the claimed "
+                          + ("family" if fam else "members"))
+    if gen is not None and premises is not None:
+        raise KernelError("pass premises or a generator, not both")
+    if gen is None:
+        premises = tuple(premises or ())
+        if fam or len(premises) != len(members):
+            raise KernelError("a member family takes a premise generator"
+                              if fam else "one premise per member")
+        gen = premises.__getitem__
+    return _sup_le(s, members, bs, gen)
 
 
 def sup_lt(p: Certificate, q: Certificate) -> Certificate:
@@ -368,9 +515,11 @@ def sup_lt(p: Certificate, q: Certificate) -> Certificate:
     cp, cq = _expect(p, "lt", "left premise"), _expect(q, "lt", "right premise")
     if len(cp.rhs) != 1 or len(cq.rhs) != 1 or cp.rhs[0].ident != cq.rhs[0].ident:
         raise KernelError("premises must share a single bound")
-    s = sup_finite((cp.lhs, cq.lhs))
-    return Certificate("sup_lt", Judgment("lt", s, cp.rhs), (p, q),
-                       payload=(cp.lhs, cq.lhs))
+    members = (cp.lhs, cq.lhs)
+    s = sup_finite(members)
+    (pa, ia), (pb, ib) = _lt_parts(p), _lt_parts(q)
+    return _lt_node(s, cp.rhs, pa + pb,
+                    lambda S: _sup_le(s, members, S, (ia, ib).__getitem__))
 
 
 def cut_left(p: Certificate, q: Certificate, other: OrdName) -> Certificate:
@@ -381,10 +530,11 @@ def cut_left(p: Certificate, q: Certificate, other: OrdName) -> Certificate:
     a = cq.lhs
     if cp.rhs[0].ident != a.ident:
         raise KernelError("strict premise must bound by the main name")
-    if not sup_decomposition(cq.rhs[0], (other, cp.lhs)):
+    s, members = cq.rhs[0], (other, cp.lhs)
+    if not sup_decomposition(s, members):
         raise KernelError("bound is not the sup of the remainder and the cut name")
-    return Certificate("cut_left", Judgment("le", a, (other,)), (p, q),
-                       payload=(other,))
+    return _cut(p, _chain(q, {s.ident: _spread(s, members)}, members),
+                (other,))
 
 
 def drop_left(p: Certificate, other: OrdName) -> Certificate:
@@ -394,8 +544,9 @@ def drop_left(p: Certificate, other: OrdName) -> Certificate:
         raise KernelError("premise must carry a single bound")
     if not sup_decomposition(cp.rhs[0], (cp.lhs, other)):
         raise KernelError("bound is not the sup of the lhs and the remainder")
-    return Certificate("drop_left", Judgment("lt", cp.lhs, (other,)), (p,),
-                       payload=(other,))
+    s, members = cp.rhs[0], (cp.lhs, other)
+    return _strict(_chain(p, {s.ident: _spread(s, members)}, members),
+                   cp.lhs, (other,))
 
 
 # ---------------------------------------------------------------------------
@@ -524,32 +675,16 @@ def _unless(holds: bool, reason: str) -> Optional[str]:
     return None if holds else reason
 
 
-def _same_ends(x: Judgment, y: Judgment) -> bool:
-    return x.lhs.ident == y.lhs.ident and _ids(x.rhs) == _ids(y.rhs)
-
-
-def _bounds_each(kind: str, member: Callable[[Certificate, int], OrdName]):
-    """Premise check: premise i concludes member i of the node, in the
-    given relation, to the node's own bound set."""
-
-    def check(c: Certificate, i: int, p: Certificate) -> Optional[str]:
-        p = p.conclusion
-        if p.kind != kind:
-            return f"premise {i} must conclude {kind}"
-        want = member(c, i)
-        if want is None or p.lhs.ident != want.ident:
-            return f"premise {i} is not about member {i}"
-        return _unless(_ids(p.rhs) == _ids(c.conclusion.rhs),
-                       f"premise {i} bounds by the wrong set")
-
-    return check
-
-
-def _sup_member(c: Certificate, i: int) -> Optional[OrdName]:
-    members = c.payload
-    if isinstance(members, Family):
-        return members.at(i)
-    return members[i] if i < len(members) else None
+def _check_le_premise(c: Certificate, i: int, p: Certificate) -> Optional[str]:
+    """Premise i of an le_intro concludes subordinal i of the lhs strictly
+    below the node's own bound set."""
+    p = p.conclusion
+    if p.kind != "lt":
+        return f"premise {i} must conclude lt"
+    if p.lhs.ident != c.conclusion.lhs.child(i).ident:
+        return f"premise {i} is not about member {i}"
+    return _unless(_ids(p.rhs) == _ids(c.conclusion.rhs),
+                   f"premise {i} bounds by the wrong set")
 
 
 def _check_lt_intro(c: Certificate, ps: tuple) -> Optional[str]:
@@ -565,14 +700,6 @@ def _check_lt_intro(c: Certificate, ps: tuple) -> Optional[str]:
                    "inner premise does not bound by the selection")
 
 
-def _check_trans(c: Certificate, ps: tuple) -> Optional[str]:
-    cp, cq = ps
-    if (cp.lhs.ident != c.conclusion.lhs.ident
-            or _ids(cq.rhs) != _ids(c.conclusion.rhs)):
-        return "endpoints do not match"
-    return _unless(_middle_matches(cp.rhs, cq.lhs), "middle name mismatch")
-
-
 def _check_weaken(c: Certificate, ps: tuple) -> Optional[str]:
     cp, concl = ps[0], c.conclusion
     return _unless(cp.kind == concl.kind and cp.lhs.ident == concl.lhs.ident
@@ -580,89 +707,13 @@ def _check_weaken(c: Certificate, ps: tuple) -> Optional[str]:
                    "weaken changes only the bound set")
 
 
-def _suc_bound(x: Judgment, y: Judgment) -> bool:
-    """x bounds y's lhs by the successor of y's single bound."""
-    return (len(x.rhs) == 1 == len(y.rhs) and _is_suc(x.rhs[0])
-            and x.rhs[0].child(0).ident == y.rhs[0].ident
-            and x.lhs.ident == y.lhs.ident)
-
-
-def _suc_lhs(x: Judgment, y: Judgment) -> bool:
-    """x's lhs is the successor of y's, under the same bounds."""
-    return (_is_suc(x.lhs) and x.lhs.child(0).ident == y.lhs.ident
-            and _ids(x.rhs) == _ids(y.rhs))
-
-
-def _check_sup_le(c: Certificate, ps: tuple) -> Optional[str]:
-    members = c.payload
-    if not sup_decomposition(c.conclusion.lhs, members):
-        return "lhs is not the sup of the claimed members"
-    if isinstance(members, Family):
-        return _unless(c.generated, "a member family needs generated premises")
-    return _unless(c.generated or len(c.premises) == len(members),
-                   "one premise per member")
-
-
-def _check_sup_lt(c: Certificate, ps: tuple) -> Optional[str]:
-    concl = c.conclusion
-    if len(concl.rhs) != 1 or any(
-            len(p.rhs) != 1 or p.rhs[0].ident != concl.rhs[0].ident
-            for p in ps):
-        return "premises must share the conclusion's single bound"
-    return _unless(sup_decomposition(concl.lhs, (ps[0].lhs, ps[1].lhs)),
-                   "lhs is not the sup of the premise names")
-
-
-def _check_cut_left(c: Certificate, ps: tuple) -> Optional[str]:
-    (cp, cq), concl, (other,) = ps, c.conclusion, c.payload
-    if (len(cp.rhs) != 1 or len(cq.rhs) != 1 or len(concl.rhs) != 1
-            or cp.rhs[0].ident != cq.lhs.ident
-            or cq.lhs.ident != concl.lhs.ident
-            or concl.rhs[0].ident != other.ident):
-        return "endpoints do not wire up"
-    return _unless(sup_decomposition(cq.rhs[0], (other, cp.lhs)),
-                   "bound is not the sup of remainder and cut name")
-
-
-def _check_drop_left(c: Certificate, ps: tuple) -> Optional[str]:
-    cp, concl, (other,) = ps[0], c.conclusion, c.payload
-    if (len(cp.rhs) != 1 or len(concl.rhs) != 1
-            or cp.lhs.ident != concl.lhs.ident
-            or concl.rhs[0].ident != other.ident):
-        return "endpoints do not wire up"
-    return _unless(sup_decomposition(cp.rhs[0], (cp.lhs, other)),
-                   "bound is not the sup of lhs and remainder")
-
-
-_SUC = "successor conversion shape"
-
+# The trusted rules: the two defining clauses of <= and <, and weakening.
 _RULES = {
     "le_intro": Rule(None, "le",
                      lambda c, ps: subordinal_arity(c.conclusion.lhs, c),
-                     _bounds_each("lt", lambda c, i: c.conclusion.lhs.child(i))),
+                     _check_le_premise),
     "lt_intro": Rule(("le",), "lt", _check_lt_intro),
-    "trans_le_le": Rule(("le", "le"), "le", _check_trans),
-    "trans_lt_le": Rule(("lt", "le"), "lt", _check_trans),
-    "trans_le_lt": Rule(("le", "lt"), "lt", _check_trans),
     "weaken": Rule((None,), None, _check_weaken),
-    "contract": Rule((None,), None, lambda c, ps: _unless(
-        ps[0].kind == c.kind and _same_ends(ps[0], c.conclusion),
-        "contract preserves the bound set")),
-    "lt_to_le": Rule(("lt",), "le", lambda c, ps: _unless(
-        _same_ends(ps[0], c.conclusion), "endpoints must be unchanged")),
-    "lt_suc_of_le": Rule(("le",), "lt", lambda c, ps: _unless(
-        _suc_bound(c.conclusion, ps[0]), _SUC)),
-    "le_of_lt_suc": Rule(("lt",), "le", lambda c, ps: _unless(
-        _suc_bound(ps[0], c.conclusion), _SUC)),
-    "suc_le_of_lt": Rule(("lt",), "le", lambda c, ps: _unless(
-        _suc_lhs(c.conclusion, ps[0]), _SUC)),
-    "lt_of_suc_le": Rule(("le",), "lt", lambda c, ps: _unless(
-        _suc_lhs(ps[0], c.conclusion), _SUC)),
-    "sup_le_intro": Rule(None, "le", _check_sup_le,
-                         _bounds_each("le", _sup_member)),
-    "sup_lt": Rule(("lt", "lt"), "lt", _check_sup_lt),
-    "cut_left": Rule(("lt", "le"), "le", _check_cut_left),
-    "drop_left": Rule(("lt",), "lt", _check_drop_left),
 }
 
 
@@ -708,13 +759,15 @@ class _SearchState:
     """Bookkeeping shared across one le_cert/lt_cert invocation: the step
     counter and a memo of settled subproblems.  Identical subgoals recur
     heavily (sibling candidates peel the same spines), so both found
-    certificates and naturally failed goals are cached."""
+    certificates and naturally failed goals are cached.  start is the
+    call's step allowance; done marks a search that has returned."""
 
-    __slots__ = ("steps", "memo")
+    __slots__ = ("steps", "memo", "start", "done")
 
     def __init__(self, steps: int):
-        self.steps = steps
+        self.steps = self.start = steps
         self.memo: dict = {}
+        self.done = False
 
 
 _DEAD_END = object()
@@ -763,6 +816,7 @@ def _search(kind: str, a: OrdName, bs, fuel: Fuel, limit: int, budget: int,
         # Generated premises close over st, so a memo that outlived the
         # search would tie found certificates into reference cycles.
         st.memo.clear()
+        st.done = True
 
 
 def _spend(budget: int, st: _SearchState) -> None:
@@ -774,7 +828,10 @@ def _spend(budget: int, st: _SearchState) -> None:
 def _settle(kind: str, a: OrdName, bs: tuple, fuel: Fuel, limit: int,
             budget: int, st: _SearchState) -> Certificate:
     """Certificate of a <= bs or a < bs (kind "le" or "lt"), memoized in
-    st: found certificates, and failures with the selection limit tried."""
+    st: found certificates, and failures with the selection limit tried.
+    A goal posed after st's search returned is a search of its own."""
+    if st.done:
+        return _search(kind, a, bs, fuel, limit, budget, st.start)
     key = (kind, a.ident, tuple(sorted(b.ident for b in bs)))
     hit = _memo_get(st, key, limit)
     if hit is not None:

@@ -248,9 +248,10 @@ class Node(OrdName):
 # constructions return the same object.
 _intern: dict = {}
 
-# Provenance of non-interned sup results, so the certificate checker can
-# recognize a flattened node without guessing its decomposition.  Keyed by
-# the node object itself; interned nodes are recomputable instead.
+# Provenance of non-interned sup results, so sup_decomposition (the argument
+# check of the certificate builders that take a sup) can recognize a
+# flattened node without guessing its decomposition.  Keyed by the node
+# object itself; interned nodes are recomputable instead.
 _sup_members: "weakref.WeakKeyDictionary[OrdName, tuple]" = weakref.WeakKeyDictionary()
 
 
@@ -354,17 +355,31 @@ def _member_arity(m: OrdName) -> Optional[int]:
     return None
 
 
-def sup_family(family: Family) -> OrdName:
-    """Flatten an indexed family of nonzero names into one node.
+def sup_order(members) -> Iterator[tuple]:
+    """The pairs (j, i) in the order the flattened sup of members lists its
+    subordinals: position k of the sup is subordinal i of member j.
 
-    Finitely many members, all finitely branching: subordinal blocks are
-    concatenated in member order.  Otherwise the result is naturally indexed
-    and walks the valid (member, position) pairs diagonally.
-    """
+    members is a naturally indexed Family of nonzero names, or a tuple whose
+    zero members contribute nothing, as in sup_finite.  Finitely many
+    finitely branching members are concatenated in member order; otherwise
+    the valid pairs are walked diagonally, an eventually constant member
+    contributing positions up to its constant point."""
+    if isinstance(members, Family):
+        return _pair_stream(None, lambda j: _member_arity(members.at(j)))
+    keep = [j for j, m in enumerate(members) if not m.is_zero]
+    if all(isinstance(m.index, Fin) for m in members):
+        return ((j, i) for j in keep for i in range(members[j].index.size))
+    walk = _pair_stream(len(keep), lambda j: _member_arity(members[keep[j]]))
+    return ((keep[j], i) for j, i in walk)
+
+
+def sup_family(family: Family) -> OrdName:
+    """Flatten an indexed family of nonzero names into one node, its
+    subordinals listed in sup_order."""
     if isinstance(family.index, Fin):
         members = tuple(family.at(j) for j in range(family.index.size))
         return _sup_of_members(members)
-    node = _sup_diagonal(None, family.at)
+    node = _sup_diagonal(family)
     _sup_members[node] = family
     return node
 
@@ -376,6 +391,7 @@ def _sup_of_members(members: tuple) -> OrdName:
         if m.is_zero:
             raise ValueError("sup over a family containing zero")
     if all(isinstance(m.index, Fin) for m in members):
+        # sup_order's concatenation, spelled out: this path is hot
         flat: list = []
         for m in members:
             flat.extend(m.family._children)
@@ -383,31 +399,21 @@ def _sup_of_members(members: tuple) -> OrdName:
         if not node.is_finitary:
             _sup_members[node] = members
         return node
-    node = _sup_diagonal(len(members), lambda j: members[j])
+    node = _sup_diagonal(members)
     _sup_members[node] = members
     return node
 
 
-def _sup_diagonal(count: Optional[int], member_at: Callable[[int], OrdName]) -> OrdName:
-    members: dict = {}
-
-    def member(j: int) -> OrdName:
-        m = members.get(j)
-        if m is None:
-            m = member_at(j)
-            if m.is_zero:
-                raise ValueError("sup over a family containing zero")
-            members[j] = m
-        return m
-
+def _sup_diagonal(members) -> OrdName:
+    at = members.at if isinstance(members, Family) else members.__getitem__
     pairs: list = []
-    stream = _pair_stream(count, lambda j: _member_arity(member(j)))
+    order = sup_order(members)
 
     def gen(k: int) -> OrdName:
         while len(pairs) <= k:
-            pairs.append(next(stream))
+            pairs.append(next(order))
         j, i = pairs[k]
-        return member(j).child(i)
+        return at(j).child(i)
 
     return Node(Family.from_generator(gen), False)
 

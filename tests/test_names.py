@@ -1,5 +1,7 @@
 """Name construction: zero, nodes, successors, sups, views, filtering."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,7 +9,7 @@ from ordcalc import compare, oracle
 from ordcalc.names import (Family, Fin, IllFoundedError, NAT, ZERO, BitSeq,
                            eps_lpo, filtering, fold, mk_node, mk_zero, omega,
                            subordinals, suc, suc_list, sup_decomposition,
-                           sup_family, sup_finite, und)
+                           sup_family, sup_finite, sup_order, und)
 
 from .conftest import finitary_names
 
@@ -124,6 +126,25 @@ class TestSupFinite:
         members = (und(2), und(3))
         s = sup_finite(members)
         assert sup_decomposition(s, members)
+
+
+_STEADY = mk_node(Family.from_generator(und, const_from=2))
+
+
+@pytest.mark.parametrize("members", [
+    (und(2), ZERO, suc_list([und(0), und(1)])),
+    (omega(), ZERO, und(3)),
+    (und(3), _STEADY, omega()),
+    Family.from_generator(lambda n: und(n + 1)),
+], ids=["finite", "diagonal", "steady-member", "family"])
+def test_sup_order_lists_the_sup(members):
+    if isinstance(members, Family):
+        s, at = sup_family(members), members.at
+    else:
+        s, at = sup_finite(members), members.__getitem__
+    n = s.index.size if isinstance(s.index, Fin) else 40
+    listed = [at(j).child(i) for j, i in islice(sup_order(members), n)]
+    assert listed == [s.child(k) for k in range(n)]
 
 
 class TestSubordinals:

@@ -5,10 +5,10 @@ import gc
 
 import pytest
 
-from ordcalc.arith import add
+from ordcalc.arith import add, mul
 from ordcalc.kernel import (Certificate, Exhaustive, SpotCheck, contract,
-                            cut_left, eq_certs, le_cert, le_intro, lt_cert,
-                            refl, sup_le_intro, verify, weaken)
+                            eq_certs, le_cert, le_intro, lt_cert, refl, verify,
+                            weaken)
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_le_refl_cert, ml_r2,
                            ml_verify)
 from ordcalc.names import BitSeq, omega, sup_finite, und
@@ -33,7 +33,7 @@ def _sup11():
     (lambda: refl(omega()), verify, SPOT3, 13),
     (lambda: refl(omega()), verify, SPOT5, 45),
     (lambda: contract(weaken(refl(und(1)), (und(1),))), verify,
-     Exhaustive(), 5),
+     Exhaustive(), 3),
     (lambda: ml_le_refl_cert(und(3)), ml_verify, Exhaustive(), 7),
     (_exa01, ml_verify, SPOT3, 28),
     (_exa01, ml_verify, SPOT5, 84),
@@ -88,22 +88,17 @@ def _weaken_12():
     return weaken(refl(und(1)), (und(2),))
 
 
-def _sup_le_12():
-    return sup_le_intro(sup_finite([und(1), und(2)]), (und(1), und(2)),
-                        (und(2),), premises=(le_cert(und(1), (und(2),)),
-                                             refl(und(2))))
+def _lt_13():
+    return lt_cert(und(1), (und(3),))
 
 
-def _cut_left_2():
-    return cut_left(lt_cert(und(1), (und(2),)),
-                    le_cert(und(2), (sup_finite([und(2), und(1)]),)), und(2))
-
-
+# The sup-le-intro and cut-left-length ids date from when those were kernel
+# rules; both cases are now an lt_intro whose selections cannot be read.
 @pytest.mark.parametrize("policy", [Exhaustive(), SPOT3], ids=["exh", "spot"])
 @pytest.mark.parametrize("build, payload", [
     (_weaken_12, ((0,),)),
-    (_sup_le_12, ((0,),)),
-    (_cut_left_2, (und(2), und(2))),
+    (_lt_13, (5,)),
+    (_lt_13, None),
 ], ids=["weaken", "sup-le-intro", "cut-left-length"])
 def test_malformed_payload_is_reported(build, payload, policy):
     cert = build()
@@ -126,6 +121,24 @@ def test_search_leaves_no_certificate_cycles():
         gc.collect()
         leaked = sum(isinstance(o, Certificate) for o in gc.garbage)
         assert leaked == 0
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_late_premises_search_afresh():
+    # samples 60 and 70 lie beyond the search's sweep, so verify asks for
+    # them only after le_cert has returned
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        cert = le_cert(mul(omega(), und(2)), (add(omega(), omega()),))
+        assert verify(cert, SpotCheck(samples=(0, 1, 2, 60, 70))).ok
+        del cert
+        gc.collect()
+        kinds = [type(o).__name__ for o in gc.garbage]
+        assert kinds.count("Certificate") == kinds.count("_SearchState") == 0
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
