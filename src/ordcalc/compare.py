@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
-from .names import NAT, Fin, OrdName, max_fin_width, structural_depth
+from .names import OrdName, max_fin_width, structural_depth
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -184,30 +184,6 @@ def _child(a: OrdName, i: int) -> OrdName:
         raise EngineError(f"family generator failed at index {i}") from e
 
 
-def _span(a: OrdName, width: int):
-    """How far to enumerate a's subordinals and whether that exhausts them."""
-    idx = a.index
-    if isinstance(idx, Fin):
-        return min(idx.size, width), idx.size <= width
-    cf = a.family.const_from
-    if cf is not None:
-        return min(cf + 1, width), cf + 1 <= width
-    return width, False
-
-
-def _arity_bound(a: OrdName) -> Optional[int]:
-    """Selection size that provably covers a member's subordinals, or None."""
-    if a.is_zero:
-        return 0
-    idx = a.index
-    if isinstance(idx, Fin):
-        return idx.size
-    cf = a.family.const_from
-    if cf is not None:
-        return cf + 1
-    return None
-
-
 def _rhs_key(bs: tuple) -> frozenset:
     return frozenset(b.ident for b in bs)
 
@@ -221,13 +197,14 @@ class _Bounds:
 
     def __init__(self, bs: tuple):
         self.grown: list = []
-        arities = [_arity_bound(b) for b in bs]
+        arities = [b.arity for b in bs]
         self.cover = None if None in arities else max(arities)
         self.height: Optional[int] = None
         self.width = 0
-        if all(b.is_finitary for b in bs):
-            self.height = max(structural_depth(b) for b in bs)
-            self.width = max(max_fin_width(b) for b in bs)
+        heights = [b.height for b in bs]
+        if None not in heights:
+            self.height = max(heights)
+            self.width = max(b.width for b in bs)
 
 
 def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
@@ -250,8 +227,7 @@ def _selection(rec: _Bounds, bs: tuple, m: int):
         k = len(grown) + 1
         sel = []
         for b in bs:
-            ab = _arity_bound(b)
-            take = k if ab is None else min(k, ab)
+            take = k if b.arity is None else min(k, b.arity)
             for i in range(take):
                 sel.append(_child(b, i))
         sel_t = tuple(sel)
@@ -270,10 +246,10 @@ def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
     falls short of that keeps the verdicts short fuel has always given."""
     if rec.height is None:
         return None
-    h = structural_depth(a)
+    h = a.height
     if depth < 2 * h + strict:
         return None
-    if width < rec.width or width < max_fin_width(a):
+    if width < rec.width or width < a.width:
         return None
     return h < rec.height if strict else h <= rec.height
 
@@ -298,9 +274,10 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         if quick is not None:
             _memo[key] = quick
             return TRUE if quick else FALSE
-    scan, exhausted = _span(a, width)
+    # the scan exhausts a's subordinals only when its arity fits the width
+    exhausted = a.arity is not None and a.arity <= width
     pending: Optional[TriBool] = None
-    for i in range(scan):
+    for i in range(a.arity if exhausted else width):
         r = _lt(_child(a, i), bs, rhs_key, width, depth - 1, budget)
         if r.is_false:
             _memo[key] = False

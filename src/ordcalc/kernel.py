@@ -867,10 +867,10 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     def prem(i: int) -> Certificate:
         if i not in memo:
             # deep premises may need selections about as wide as their index
-            # or, for successor stacks such as member i of k+w, as their height
+            # or, for successor stacks such as member i of k+w, as their stack
             member = a.child(i)
             memo[i] = _settle("lt", member, bs, fuel,
-                                 max(limit, i + 2, _peel_height(member) + 2),
+                                 max(limit, i + 2, member.stack + 2),
                                  budget - 1, st)
         return memo[i]
 
@@ -911,46 +911,15 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
 def _lt_candidates(bs: tuple, limit: int):
     """Selection tuples to try: single members first (they catch shared
     structure through the identity shortcut), then widening prefixes."""
-    arities = []
-    for b in bs:
-        if b.is_zero:
-            arities.append(0)
-        elif isinstance(b.index, Fin):
-            arities.append(b.index.size)
-        else:
-            cf = b.family.const_from
-            arities.append(limit if cf is None else min(cf + 1, limit))
+    arities = [limit if b.arity is None else min(b.arity, limit) for b in bs]
     for j, k in enumerate(arities):
-        for i in range(min(k, limit)):
+        for i in range(k):
             sel = [()] * len(bs)
             sel[j] = (i,)
             yield tuple(sel)
     top = max(arities, default=0)
-    for m in range(1, min(limit, top) + 1):
+    for m in range(1, top + 1):
         yield tuple(tuple(range(min(m, k))) for k in arities)
-
-
-_HEIGHT_MEMO: dict = {}
-
-
-def _peel_height(a: OrdName) -> int:
-    """Single-child levels stacked on a's core (zero or a wider node).
-
-    A cheap structural surrogate for comparing names that differ by a
-    finite stack of successors; it only steers candidate order, never
-    justifies anything."""
-    spine = []
-    x = a
-    while (x.ident not in _HEIGHT_MEMO and not x.is_zero
-           and isinstance(x.index, Fin) and x.index.size == 1
-           and len(spine) < 512):
-        spine.append(x)
-        x = x.child(0)
-    h = _HEIGHT_MEMO.get(x.ident, 0)
-    for y in reversed(spine):
-        h += 1
-        _HEIGHT_MEMO[y.ident] = h
-    return h
 
 
 def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
@@ -958,11 +927,11 @@ def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     _spend(budget, st)
     if compare.lt(a, bs, fuel).is_false:
         raise CertSearchError(f"engine refutes {a!r} < {list(bs)!r}")
-    # Rank candidates before any engine query: selections at least as tall
-    # as the goal come first, closest fit leading; too-short ones follow,
-    # tallest first.  Ties keep generation order (single members, then
-    # widening prefixes).
-    da = _peel_height(a)
+    # Rank candidates by successor stack before any engine query: selections
+    # at least as tall as the goal come first, closest fit leading; too-short
+    # ones follow, tallest first.  Ties keep generation order (single
+    # members, then widening prefixes).
+    da = a.stack
     ranked = []
     tried = set()
     for order, sels in enumerate(_lt_candidates(bs, limit)):
@@ -972,7 +941,7 @@ def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
         if all(not s for s in sels):
             continue
         sel_names = _selected(bs, sels)
-        dm = max(_peel_height(s) for s in sel_names)
+        dm = max(s.stack for s in sel_names)
         rank = (0, dm, order) if dm >= da else (1, -dm, order)
         ranked.append((rank, sels, sel_names))
     ranked.sort(key=lambda t: t[0])

@@ -12,7 +12,7 @@ observational equality; the converse holds only on the finitary fragment.
 
 from __future__ import annotations
 
-import threading
+import itertools
 import weakref
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -73,16 +73,8 @@ NAT = _NatIndex()
 
 Index = Union[Fin, _NatIndex]
 
-_lock = threading.Lock()
-_next_ident = 1  # 0 is reserved for zero
-
-
-def _fresh_ident() -> int:
-    global _next_ident
-    with _lock:
-        n = _next_ident
-        _next_ident += 1
-        return n
+# 0 is reserved for zero
+_fresh_ident = itertools.count(1).__next__
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +134,6 @@ class Family:
             self._cache[i] = hit
         return hit
 
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.index, Fin)
-
     def __repr__(self) -> str:
         return f"<family {self.index!r} #{self.ident}>"
 
@@ -172,9 +160,20 @@ def map_family(fam: Family, fn: Callable[["OrdName"], "OrdName"]) -> Family:
 
 
 class OrdName:
-    """Base class: either the zero name or a node over a family."""
+    """Base class: either the zero name or a node over a family.
 
-    __slots__ = ("ident", "__weakref__")
+    A name's shape is fixed when it is built, from its family and the names
+    built before it, and is recorded in four slots:
+
+    - ``arity``: how many subordinals cover it: k over Fin(k), c + 1 over a
+      family constant from c, None over any other natural family, 0 for zero;
+    - ``height``: on a finitary name its tree height, else None;
+    - ``width``: on a finitary name its largest index set, else None;
+    - ``stack``: how many unary nodes sit on top of the first wider node or
+      zero.
+    """
+
+    __slots__ = ("ident", "arity", "height", "width", "stack", "__weakref__")
 
     @property
     def is_zero(self) -> bool:
@@ -189,7 +188,7 @@ class OrdName:
 
     @property
     def is_finitary(self) -> bool:
-        raise NotImplementedError
+        return self.height is not None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OrdName) and other.ident == self.ident
@@ -206,7 +205,7 @@ class _ZeroName(OrdName):
 
     def __new__(cls) -> "_ZeroName":
         inst = super().__new__(cls)
-        inst.ident = 0
+        inst.ident = inst.arity = inst.height = inst.width = inst.stack = 0
         return inst
 
     @property
@@ -216,21 +215,30 @@ class _ZeroName(OrdName):
     def child(self, i: int) -> OrdName:
         raise IndexError("zero has no subordinals")
 
-    @property
-    def is_finitary(self) -> bool:
-        return True
-
 
 ZERO = _ZeroName()
 
 
 class Node(OrdName):
-    __slots__ = ("family", "_finitary")
+    __slots__ = ("family",)
 
-    def __init__(self, family: Family, finitary: bool):
+    def __init__(self, family: Family):
         self.ident = _fresh_ident()
         self.family = family
-        self._finitary = finitary
+        self.height = self.width = None
+        self.stack = 0
+        children = family._children
+        if children is None:
+            cf = family.const_from
+            self.arity = None if cf is None else cf + 1
+            return
+        self.arity = len(children)
+        if len(children) == 1:
+            self.stack = children[0].stack + 1
+        heights = [c.height for c in children]
+        if None not in heights:
+            self.height = 1 + max(heights)
+            self.width = max([len(children)] + [c.width for c in children])
 
     @property
     def index(self) -> Index:
@@ -238,10 +246,6 @@ class Node(OrdName):
 
     def child(self, i: int) -> OrdName:
         return self.family.at(i)
-
-    @property
-    def is_finitary(self) -> bool:
-        return self._finitary
 
 
 # Finitary nodes interned by (arity, child idents): structurally equal
@@ -261,14 +265,11 @@ def mk_zero() -> OrdName:
 
 def _node_fin(children: tuple) -> OrdName:
     key = tuple(c.ident for c in children)
-    with _lock:
-        hit = _intern.get(key)
-    if hit is not None:
-        return hit
-    finitary = all(c.is_finitary for c in children)
-    node = Node(Family(Fin(len(children)), children, None, None), finitary)
-    with _lock:
-        return _intern.setdefault(key, node)
+    hit = _intern.get(key)
+    if hit is None:
+        hit = _intern[key] = Node(Family(Fin(len(children)), children, None,
+                                         None))
+    return hit
 
 
 def mk_node(family: Family) -> OrdName:
@@ -278,7 +279,7 @@ def mk_node(family: Family) -> OrdName:
         if family.index.size == 0:
             raise ValueError("empty family: use mk_zero")
         return _node_fin(tuple(family._children))
-    return Node(family, False)
+    return Node(family)
 
 
 def suc(alpha: OrdName) -> OrdName:
@@ -313,7 +314,7 @@ def omega() -> OrdName:
     """The first limit name: the naturally indexed family n -> n."""
     global _omega
     if _omega is None:
-        _omega = Node(Family.from_generator(und), False)
+        _omega = Node(Family.from_generator(und))
     return _omega
 
 
@@ -347,12 +348,7 @@ def _pair_stream(count: Optional[int], arity: Callable[[int], Optional[int]]):
 def _member_arity(m: OrdName) -> Optional[int]:
     if m.is_zero:
         raise ValueError("sup over a family containing zero")
-    idx = m.index
-    if isinstance(idx, Fin):
-        return idx.size
-    if m.family.const_from is not None:
-        return m.family.const_from + 1
-    return None
+    return m.arity
 
 
 def sup_order(members) -> Iterator[tuple]:
@@ -415,7 +411,7 @@ def _sup_diagonal(members) -> OrdName:
         j, i = pairs[k]
         return at(j).child(i)
 
-    return Node(Family.from_generator(gen), False)
+    return Node(Family.from_generator(gen))
 
 
 def sup_finite(alphas: Sequence[OrdName]) -> OrdName:
@@ -477,7 +473,7 @@ def filtering(alpha: OrdName) -> OrdName:
     def gen(n: int) -> OrdName:
         return sup_finite([alpha.child(j) for j in _mask_bits(n + 1)])
 
-    return Node(Family.from_generator(gen), False)
+    return Node(Family.from_generator(gen))
 
 
 # ---------------------------------------------------------------------------
@@ -530,59 +526,24 @@ def fold(alpha: OrdName, step: Callable[[OrdName, FoldView], object],
 # ---------------------------------------------------------------------------
 # structural measures (finitary fragment)
 
-_depth_cache: dict = {0: 0}
-_width_cache: dict = {0: 0}
-
-
-def _measure(alpha: OrdName, cache: dict, what: str,
-             combine: Callable[[OrdName, list], int]) -> int:
-    """Fold a finitary name bottom-up with an explicit stack, caching every
-    node's value by ident, so chains of any height fit in constant Python
-    stack.  combine receives a node and its children's values."""
-    hit = cache.get(alpha.ident)
-    if hit is not None:
-        return hit
-    if not alpha.is_finitary:
-        raise ValueError(f"{what} needs a finitary name")
-    stack = [alpha]
-    while stack:
-        node = stack[-1]
-        if node.ident in cache:
-            stack.pop()
-            continue
-        children = node.family._children
-        missing = [c for c in children if c.ident not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        cache[node.ident] = combine(node, [cache[c.ident] for c in children])
-    return cache[alpha.ident]
-
 
 def structural_depth(alpha: OrdName) -> int:
     """Height of a finitary name's tree."""
-    return _measure(alpha, _depth_cache, "structural_depth",
-                    lambda node, kids: 1 + max(kids, default=0))
+    if alpha.height is None:
+        raise ValueError("structural_depth needs a finitary name")
+    return alpha.height
 
 
 def max_fin_width(alpha: OrdName) -> int:
     """Largest index-set size anywhere in a finitary name."""
-    return _measure(alpha, _width_cache, "max_fin_width",
-                    lambda node, kids: max([node.index.size] + kids))
+    if alpha.width is None:
+        raise ValueError("max_fin_width needs a finitary name")
+    return alpha.width
 
 
 def und_value(alpha: OrdName) -> Optional[int]:
     """n when alpha is the chain und(n), else None."""
-    n = 0
-    while True:
-        if alpha.is_zero:
-            return n
-        if isinstance(alpha.index, Fin) and alpha.index.size == 1:
-            alpha = alpha.child(0)
-            n += 1
-            continue
-        return None
+    return alpha.stack if alpha.height == alpha.stack else None
 
 
 def format_name(alpha: OrdName) -> str:
@@ -661,8 +622,8 @@ def _bit_family(bits: BitSeq, fn: Callable[[int], OrdName]) -> Family:
 def eps_lpo(u: BitSeq):
     """The pair of naturally indexed names whose comparison expresses
     limited omniscience about u: (family of u_n, family of u_n + 1)."""
-    eps = Node(_bit_family(u, und), False)
-    eps_prime = Node(_bit_family(u, lambda b: und(b + 1)), False)
+    eps = Node(_bit_family(u, und))
+    eps_prime = Node(_bit_family(u, lambda b: und(b + 1)))
     return eps, eps_prime
 
 
@@ -670,7 +631,7 @@ def eps_llpo(v: BitSeq):
     """Names for the lesser limited omniscience split of v: the full family
     and its even- and odd-position subfamilies."""
     thr = v.eventually_constant_from
-    eps = Node(_bit_family(v, und), False)
-    eps1 = Node(Family.from_generator(lambda m: und(v.at(2 * m)), const_from=thr), False)
-    eps2 = Node(Family.from_generator(lambda m: und(v.at(2 * m + 1)), const_from=thr), False)
+    eps = Node(_bit_family(v, und))
+    eps1 = Node(Family.from_generator(lambda m: und(v.at(2 * m)), const_from=thr))
+    eps2 = Node(Family.from_generator(lambda m: und(v.at(2 * m + 1)), const_from=thr))
     return eps, eps1, eps2

@@ -8,8 +8,7 @@ from ordcalc import arith, compare, oracle
 from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
                              Fuel, Ordering, clear_memo, cmp_finitary, eq,
                              finitary_fuel, le, lt, memo_stats)
-from ordcalc.names import (ZERO, omega, structural_depth, suc_list,
-                           sup_finite, und)
+from ordcalc.names import ZERO, omega, suc_list, sup_finite, und
 
 from .conftest import finitary_names, seeded_pairs
 
@@ -112,8 +111,8 @@ class TestHeightShortcut:
     @settings(max_examples=200)
     def test_recursion_agrees_with_heights(self, a, bs):
         fuel = finitary_fuel(a, *bs)
-        h = structural_depth(a)
-        top = max(structural_depth(b) for b in bs)
+        h = oracle.val(a)
+        top = max(oracle.val(b) for b in bs)
         clear_memo()
         quick = (le(a, bs, fuel).value, lt(a, bs, fuel).value)
         clear_memo()

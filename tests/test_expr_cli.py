@@ -220,6 +220,16 @@ class TestCliContract:
         assert code == 2
         assert "too deep" in err
 
+    def test_huge_bare_numeral_is_refused_not_crashed(self):
+        # a numeral's name is built one recursion level per unit, so a bare
+        # numeral past the recursion limit is refused like a numeral tower
+        for args in (["cmp", "30000", "5"],
+                     ["tree", "30000", "--mu-bound", "3"]):
+            code, out, err = run_cli(args)
+            assert (code, out) == (2, "")
+            assert err == ("error: expression builds a name too deep to"
+                           " represent\n")
+
     def test_unknown_without_kernel_exits_3(self):
         code, out, _ = run_cli(["cmp", "w*2", "w+w"])
         assert code == 3

@@ -8,9 +8,8 @@ from ordcalc import compare
 from ordcalc.kernel import Exhaustive, KernelError, SpotCheck
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_derivable, ml_le_refl_cert,
                            ml_r1, ml_verify, sequent)
-from ordcalc.names import (BitSeq, ZERO, eps_lpo, omega, structural_depth,
-                           suc, suc_list, und)
-from ordcalc.oracle import gen_finitary
+from ordcalc.names import BitSeq, ZERO, eps_lpo, omega, suc, suc_list, und
+from ordcalc.oracle import gen_finitary, val
 
 
 def _names(count, salt=0):
@@ -64,9 +63,8 @@ class TestDerivability:
             atoms = [Atom(rng.choice(pool), rng.choice(("lt", "le")),
                           rng.choice(pool)) for _ in range(rng.randint(2, 4))]
             want = any(
-                structural_depth(a.lhs) < structural_depth(a.rhs)
-                if a.rel == "lt" else
-                structural_depth(a.lhs) <= structural_depth(a.rhs)
+                val(a.lhs) < val(a.rhs) if a.rel == "lt" else
+                val(a.lhs) <= val(a.rhs)
                 for a in atoms)
             falses += not want
             assert ml_derivable(sequent(atoms)) == want, atoms

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 
 from ordcalc import compare, oracle
 from ordcalc.names import (Family, Fin, IllFoundedError, NAT, ZERO, BitSeq,
-                           eps_lpo, filtering, fold, mk_node, mk_zero, omega,
-                           subordinals, suc, suc_list, sup_decomposition,
-                           sup_family, sup_finite, sup_order, und)
+                           eps_lpo, filtering, fold, max_fin_width, mk_node,
+                           mk_zero, omega, structural_depth, subordinals, suc,
+                           suc_list, sup_decomposition, sup_family,
+                           sup_finite, sup_order, und, und_value)
 
 from .conftest import finitary_names
 
@@ -190,11 +191,68 @@ class TestFold:
     def test_val_matches_oracle(self, a):
         height = fold(a, lambda n, view: 0 if n.is_zero else 1 + max(view))
         assert height == oracle.val(a)
+        # the recorded shape agrees with definitions that never read it
+        assert a.height == oracle.val(a) == structural_depth(a)
+        assert a.width == _width(a) == max_fin_width(a)
+        assert a.arity == _arity(a)
+        assert a.stack == _stack(a)
 
     def test_zero_gets_empty_view(self):
         seen = []
         fold(ZERO, lambda n, view: seen.append(list(view)))
         assert seen == [[]]
+
+
+def _width(a):
+    if a.is_zero:
+        return 0
+    return max([a.index.size] + [_width(a.child(i))
+                                 for i in range(a.index.size)])
+
+
+def _arity(a):
+    if a.is_zero:
+        return 0
+    if isinstance(a.index, Fin):
+        return a.index.size
+    cf = a.family.const_from
+    return None if cf is None else cf + 1
+
+
+def _stack(a):
+    if a.is_zero or a.index != Fin(1):
+        return 0
+    return 1 + _stack(a.child(0))
+
+
+@pytest.mark.parametrize("build, arity", [
+    (lambda: omega(), None),
+    (lambda: suc(omega()), 1),
+    (lambda: sup_finite([omega(), und(3)]), None),
+    (lambda: mk_node(Family.from_generator(und, const_from=2)), 3),
+    (lambda: eps_lpo(BitSeq.const_last([0, 1]))[0], 3),
+    (lambda: eps_lpo(BitSeq.const_last([0, 1]))[1], 3),
+    (lambda: eps_lpo(BitSeq.opaque([0], lambda n: 0))[0], None),
+    (lambda: filtering(omega()), None),
+], ids=["w", "suc-w", "sup-w-3", "const-from-2", "eps-lpo", "eps-lpo-prime",
+        "eps-lpo-opaque", "filtering-w"])
+def test_infinitary_shape(build, arity):
+    a = build()
+    assert a.arity == _arity(a) == arity
+    assert a.height is a.width is None and not a.is_finitary
+    with pytest.raises(ValueError):
+        structural_depth(a)
+    with pytest.raises(ValueError):
+        max_fin_width(a)
+    assert und_value(a) is None
+
+
+def test_stack_is_independent_of_build_order():
+    tall = und(600)
+    assert (tall.stack, und_value(tall)) == (600, 600)
+    assert (und(89).stack, und_value(und(89))) == (89, 89)
+    assert suc(omega()).stack == 1 and und_value(suc(omega())) is None
+    assert omega().stack == 0
 
 
 class TestBitSequences:
