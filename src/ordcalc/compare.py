@@ -14,6 +14,14 @@ reason is reported over any width or depth truncation met on the way.
 Definite verdicts are monotone in the fuel and are cached; Unknown is never
 cached.
 
+An Unknown can also mean that no scan at any budget settles the question.
+a <= bs is confirmed only by exhausting a's subordinals, which needs a finite
+arity, and refuted only through a refuted a' < bs, which needs the bounds to
+have a cover (a largest witness selection).  When a has neither, the engine
+answers width-truncated at once instead of spending its budget; a < bs is
+then true only when a is one of the bounds' first members, which it tests
+directly.
+
 On finitary names both relations come down to comparing tree heights.  When
 the fuel would carry the recursion to a verdict anyway, the engine reads it
 off the heights in one step instead.
@@ -191,7 +199,10 @@ def _rhs_key(bs: tuple) -> frozenset:
 class _Bounds:
     """What the engine reuses about one bound set: the witness selections
     grown so far, the covering selection size, and, when every bound is
-    finitary, the bounds' largest height and largest index set."""
+    finitary, the bounds' largest height and largest index set.  A cover of
+    None (some bound has no finite arity) means no selection is largest, so
+    nothing is refuted against these bounds, and a query that only a
+    refutation could settle is unknown at every budget."""
 
     __slots__ = ("grown", "cover", "height", "width")
 
@@ -235,6 +246,19 @@ def _selection(rec: _Bounds, bs: tuple, m: int):
     return grown[m - 1]
 
 
+def _in_prefix(a: OrdName, bs: tuple, top: int) -> bool:
+    """Is a one of the first top members of some bound, that is, a member of
+    one of the first top selections?  Members are pulled a whole row at a
+    time, index-major, the order _selection pulls them in, without building
+    the selections."""
+    for i in range(top):
+        row = [_child(b, i).ident for b in bs
+               if b.arity is None or i < b.arity]
+        if a.ident in row:
+            return True
+    return False
+
+
 def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
                strict: bool) -> Optional[bool]:
     """The verdict on finitary a against these bounds, read off the tree
@@ -269,11 +293,16 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         return _unknown(STEPS_EXHAUSTED)
     budget[0] -= 1
     _stats["evals"] += 1
+    rec = _bounds(bs, rhs_key)
     if a.is_finitary:
-        quick = _by_height(a, _bounds(bs, rhs_key), width, depth, False)
+        quick = _by_height(a, rec, width, depth, False)
         if quick is not None:
             _memo[key] = quick
             return TRUE if quick else FALSE
+    if a.arity is None and rec.cover is None:
+        # True needs a's subordinals exhausted, so a finite arity; False
+        # needs an _lt refutation, so a cover.  No scan can settle this.
+        return _unknown(WIDTH_TRUNCATED)
     # the scan exhausts a's subordinals only when its arity fits the width
     exhausted = a.arity is not None and a.arity <= width
     pending: Optional[TriBool] = None
@@ -315,6 +344,14 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     if cover == 0:
         _memo[key] = False
         return FALSE
+    if a.arity is None and cover is None:
+        # with no finite arity, a is below a selection only as one of its
+        # members, and with no cover no refuted selection refutes a < bs:
+        # only membership can give a verdict
+        if _in_prefix(a, bs, width):
+            _memo[key] = True
+            return TRUE
+        return _unknown(WIDTH_TRUNCATED)
     top = width if cover is None else min(width, cover)
     covering: Optional[TriBool] = None
     starved: Optional[TriBool] = None

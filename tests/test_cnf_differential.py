@@ -1,0 +1,58 @@
+"""Engine verdicts on infinitary names against Cantor normal form.
+
+The referee is the benchmark's CNF evaluator (``perfbench/checks.py``), which
+has its own parser and shares no code with ordcalc.  Every definite ``le`` and
+``lt`` the engine gives at default fuel, from an empty memo, must agree with
+it, and the table's count of definite answers is pinned.
+"""
+
+import os
+import sys
+
+from ordcalc.compare import clear_memo, le, lt
+from ordcalc.expr import lower, parse_expr
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+
+import checks  # noqa: E402
+
+# the benchmark's infinitary and certify pairs, pairs whose lt is settled by
+# membership in a bound's first members, and their neighbours; each pair is
+# asked in both directions, as `ord cmp` asks it
+PAIRS = [
+    ("w*2", "w+w"), ("w^w", "w*2"), ("w", "1+w"), ("eps0", "w"),
+    ("w+1", "w"), ("sup(w,3)", "w"), ("w*3", "w*2+w"), ("w+1", "suc(w)"),
+    ("3", "w"), ("2+w", "w"), ("w", "w"), ("w", "w^w"),
+    ("w*2", "w"), ("w*2", "w^2"), ("w+2", "w+1"), ("suc(w)", "w+2"),
+    ("1+w", "w+1"), ("w^w", "eps0"), ("w^2", "w*3"), ("sup(1,2)", "w"),
+    ("5", "3"), ("2", "suc(1)"), ("w+1", "w*2"), ("w^2+w", "w^2"),
+    ("sup(w,w+1)", "w+1"),
+]
+
+# definite answers among the table's 100 queries; an engine change must not
+# lower the count, and one that raises it raises this pin
+DEFINITE = 26
+
+
+def _queries():
+    for lhs, rhs in PAIRS:
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            for kind, rel in (("le", le), ("lt", lt)):
+                yield kind, rel, a, b
+
+
+def _name(text):
+    return lower(parse_expr(text))
+
+
+def test_definite_verdicts_agree_with_cnf():
+    definite = 0
+    for kind, rel, a, b in _queries():
+        clear_memo()
+        v = rel(_name(a), (_name(b),))
+        if v.is_unknown:
+            continue
+        definite += 1
+        assert v.value == checks.holds(kind, a, b), f"{a} {kind} {b}"
+    assert definite == DEFINITE

@@ -8,7 +8,8 @@ from ordcalc import arith, compare, oracle
 from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
                              Fuel, Ordering, clear_memo, cmp_finitary, eq,
                              finitary_fuel, le, lt, memo_stats)
-from ordcalc.names import ZERO, omega, suc_list, sup_finite, und
+from ordcalc.names import (ZERO, Family, mk_node, omega, suc_list, sup_finite,
+                           und)
 
 from .conftest import finitary_names, seeded_pairs
 
@@ -141,13 +142,84 @@ class TestHeightShortcut:
 
 class TestStepBudget:
     def test_spent_steps_are_reported_as_such(self):
-        w2 = arith.mul(omega(), und(2))
-        wpw = arith.add(omega(), omega())
-        for rel in (le, lt):
+        # both scans could still end definite, so the budget is what stops
+        # them: le(w, [w+1]) refutes through the cover of w+1, and
+        # lt(w+1, [w]) can be settled by a selection of w's members
+        w = omega()
+        w1 = arith.add(w, und(1))
+        for rel, a, b in ((le, w, w1), (lt, w1, w)):
             clear_memo()
-            v = rel(w2, (wpw,), Fuel(steps=50))
+            v = rel(a, (b,), Fuel(steps=50))
             assert v.is_unknown
             assert v.reason == STEPS_EXHAUSTED
+
+
+def _evals_of(rel, a, bs, fuel=Fuel()):
+    clear_memo()
+    v = rel(a, bs, fuel)
+    return v, memo_stats()["evals"]
+
+
+class TestUnsettledScans:
+    """A query whose lhs has no finite arity, against bounds with no cover,
+    cannot end in a refutation, nor in a le that exhausts the lhs: it is
+    answered at once."""
+
+    def test_both_relations_answer_in_one_eval(self):
+        # the reason is width-truncated whatever the step budget, since no
+        # budget would settle w*2 against w+w
+        w2 = arith.mul(omega(), und(2))
+        wpw = arith.add(omega(), omega())
+        for fuel in (Fuel(), Fuel(steps=50)):
+            for rel in (le, lt):
+                v, evals = _evals_of(rel, w2, (wpw,), fuel)
+                assert (v.value, v.reason, evals) == (None, WIDTH_TRUNCATED,
+                                                      1)
+
+    def test_lt_without_membership_answers_in_one_eval(self):
+        v, evals = _evals_of(lt, omega(), (arith.add(und(1), omega()),))
+        assert (v.value, v.reason, evals) == (None, WIDTH_TRUNCATED, 1)
+
+    def test_lt_by_membership_stays_true(self):
+        # w is the first member of eps0's fundamental sequence
+        v, evals = _evals_of(lt, omega(), (arith.eps0(),))
+        assert v.is_true
+        assert evals == 1
+        assert memo_stats()["entries"] == 1
+
+    def test_membership_reaches_past_the_first_bound(self):
+        w = omega()
+        steady = mk_node(Family.from_generator(
+            lambda i: und(i) if i < 3 else w))
+        # steady is constant from index 3 only by its values, not by a
+        # declared const_from, so it has no cover; w is its member 3
+        assert lt(w, (arith.add(und(1), w), steady)).is_true
+        assert lt(w, (steady,), Fuel(width=3)).is_unknown
+
+
+def _failing_past_five(i: int):
+    if i > 5:
+        raise ValueError("no member past index 5")
+    return und(i)
+
+
+class TestFailingGenerator:
+    """Which queries touch a family's members past the point its generator
+    fails: a pruned query pulls none, a membership test pulls the bounds'."""
+
+    def test_pruned_queries_return_unknown(self):
+        f = mk_node(Family.from_generator(_failing_past_five))
+        w = omega()
+        for rel, a, b in ((le, f, w), (lt, f, w), (le, w, f)):
+            clear_memo()
+            v = rel(a, (b,))
+            assert (v.value, v.reason) == (None, WIDTH_TRUNCATED)
+
+    def test_membership_scan_of_the_bound_raises(self):
+        f = mk_node(Family.from_generator(_failing_past_five))
+        clear_memo()
+        with pytest.raises(compare.EngineError):
+            lt(omega(), (f,))
 
 
 class TestMemo:

@@ -230,6 +230,16 @@ class TestCliContract:
             assert err == ("error: expression builds a name too deep to"
                            " represent\n")
 
+    def test_power_of_two_over_w_is_refused_not_crashed(self):
+        # member i of 2^w is the numeral 2^(i+1), built one recursion level
+        # per unit; whichever query first pulls a deep member, the command
+        # must refuse the expression rather than print a traceback
+        for args in (["cmp", "2^w", "w"], ["cmp", "w", "2^w"]):
+            code, out, err = run_cli(args)
+            assert (code, out) == (2, "")
+            assert err == ("error: expression builds a name too deep to"
+                           " represent\n")
+
     def test_unknown_without_kernel_exits_3(self):
         code, out, _ = run_cli(["cmp", "w*2", "w+w"])
         assert code == 3
