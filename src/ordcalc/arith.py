@@ -4,14 +4,17 @@ towered iteration that reaches the first fixed point of exponentiation.
 Each operation follows its defining recursion literally, building suprema of
 pointwise-transformed families.  Results are memoized on operand identity, so
 equal calls return the identical name; in particular add(a, zero) is a
-itself, which keeps identities like a < a + a cheaply recognizable.
+itself, which keeps identities like a < a + a cheaply recognizable.  Sums,
+products and powers of operands with a Cantor normal form record the
+result's, the hint certificate search steers by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
+from . import cnf
 from .names import (Family, Fin, Index, NAT, OrdName, ZERO, map_family,
                     mk_node, omega, subordinals, sup_family, sup_finite, und)
 
@@ -27,6 +30,17 @@ def _sup_of(fam: Family) -> OrdName:
     return sup_family(fam)
 
 
+def _hint(result: OrdName, op: Callable, a: OrdName, b: OrdName) -> OrdName:
+    """Record op's Cantor normal form on a naturally indexed result when
+    both operands have one.  Finitely branching results get theirs from
+    their children as they are built."""
+    if result.cnf is None and result.arity is None:
+        ha, hb = cnf.of(a), cnf.of(b)
+        if ha is not None and hb is not None:
+            result.cnf = op(ha, hb)
+    return result
+
+
 def add(a: OrdName, b: OrdName) -> OrdName:
     """a + b: rebuild b's spine on top of a."""
     if b.is_zero:
@@ -34,7 +48,8 @@ def add(a: OrdName, b: OrdName) -> OrdName:
     key = (a.ident, b.ident)
     hit = _add_memo.get(key)
     if hit is None:
-        hit = mk_node(map_family(subordinals(b), lambda bj: add(a, bj)))
+        hit = _hint(mk_node(map_family(subordinals(b), lambda bj: add(a, bj))),
+                    cnf.add, a, b)
         _add_memo[key] = hit
     return hit
 
@@ -104,7 +119,9 @@ def mul(a: OrdName, b: OrdName) -> OrdName:
     key = (a.ident, b.ident)
     hit = _mul_memo.get(key)
     if hit is None:
-        hit = _sup_of(map_family(subordinals(b), lambda bj: add(mul(a, bj), a)))
+        hit = _hint(_sup_of(map_family(subordinals(b),
+                                       lambda bj: add(mul(a, bj), a))),
+                    cnf.mul, a, b)
         _mul_memo[key] = hit
     return hit
 
@@ -118,7 +135,9 @@ def pow(a: OrdName, b: OrdName) -> OrdName:
     key = (a.ident, b.ident)
     hit = _pow_memo.get(key)
     if hit is None:
-        hit = _sup_of(map_family(subordinals(b), lambda bj: mul(pow(a, bj), a)))
+        hit = _hint(_sup_of(map_family(subordinals(b),
+                                       lambda bj: mul(pow(a, bj), a))),
+                    cnf.power, a, b)
         _pow_memo[key] = hit
     return hit
 

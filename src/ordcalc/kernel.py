@@ -15,19 +15,23 @@ Each rule is one entry of a rule table read by a single walker,
 ``check_derivation``; the sequent calculus (``mlseq``) runs the same walker
 over a table of its own.
 
-``le_cert`` and ``lt_cert`` are untrusted searchers: they use the bounded
-comparison engine to steer toward a certificate, which is then checked like
-any other.
+``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
+certificate that is then checked like any other.  Where the names carry a
+Cantor normal form (``cnf``), comparing the forms steers the search; where
+one does not, the bounded comparison engine is probed instead.  A hint, like
+a probe, only prunes, refuses or orders the steps tried: every step is still
+built as a derivation, so a wrong hint can make a search fail but cannot
+make ``verify`` accept a false claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import compare
-from .compare import Fuel, Judgment
+from . import cnf, compare
+from .compare import FALSE, TRUE, Fuel, Judgment, TriBool
 from .names import (Family, Fin, NAT, Index, OrdName, ZERO, _mask_bits,
                     filtering, suc, sup_decomposition, sup_finite, sup_order)
 
@@ -745,7 +749,7 @@ def _gen_probe(gen: Callable[[int], Certificate], samples) -> None:
         gen(s)
 
 
-# Guidance queries during search only prune and rank candidates, so they run
+# Engine guidance during search only prunes and ranks candidates, so it runs
 # on deliberately small fuel; the certificate that comes out is checked by
 # verify like any other.  The step cap is tight because an unknown that
 # takes long to report starves the search worse than a missed pruning.
@@ -793,7 +797,8 @@ def _memo_fail(st: _SearchState, key: tuple, limit: int) -> None:
 
 def le_cert(a: OrdName, bs, fuel: Fuel = SEARCH_FUEL, limit: int = 48,
             budget: int = 256, steps: int = SEARCH_STEPS) -> Certificate:
-    """Search for a certificate of a <= bs, steered by the engine.
+    """Search for a certificate of a <= bs, steered by CNF hints or the
+    engine.
 
     limit caps selection sizes (scaled up for deep premises), budget the
     recursion depth, steps the total nodes expanded.  The result carries no
@@ -851,11 +856,34 @@ def _settle(kind: str, a: OrdName, bs: tuple, fuel: Fuel, limit: int,
     return cert
 
 
+def _hints(a: OrdName, bs: tuple) -> Optional[Tuple[tuple, tuple]]:
+    """The Cantor normal forms of a and of the largest bound, or None unless
+    a and every bound carry one."""
+    ha = cnf.of(a)
+    if ha is None:
+        return None
+    hbs = [cnf.of(b) for b in bs]
+    if None in hbs:
+        return None
+    return ha, cnf.top(hbs)
+
+
+def _guide(kind: str, a: OrdName, bs: tuple, fuel: Fuel) -> TriBool:
+    """Whether a <= bs or a < bs (kind "le" or "lt") looks worth a search:
+    by the names' Cantor normal forms when a and every bound carry one,
+    else by the engine at fuel.  The answer only prunes and refuses."""
+    h = _hints(a, bs)
+    if h is None:
+        return (compare.le if kind == "le" else compare.lt)(a, bs, fuel)
+    order = cnf.cmp(*h)
+    return TRUE if (order < 0 or order == 0 and kind == "le") else FALSE
+
+
 def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
              st: _SearchState) -> Certificate:
     _spend(budget, st)
-    if compare.le(a, bs, fuel).is_false:
-        raise CertSearchError(f"engine refutes {a!r} <= {list(bs)!r}")
+    if _guide("le", a, bs, fuel).is_false:
+        raise CertSearchError(f"guidance refutes {a!r} <= {list(bs)!r}")
     if a.is_zero:
         return zero_le(bs)
     if any(b.ident == a.ident for b in bs):
@@ -895,59 +923,78 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     # not enumerate their members in increasing size, so spot probes are
     # not enough: every member the engine cannot confirm below the bounds
     # must yield a premise certificate now, and a refuted member sinks the
-    # family.  Members beyond the sweep remain the caller's totality
+    # family.  A hint confirms nothing, so a hinted member always yields
+    # its premise.  Members beyond the sweep remain the caller's totality
     # obligation, as with any generator handed to le_intro.
     for n in range(limit + 1):
-        verdict = compare.lt(a.child(n), bs, fuel)
+        member = a.child(n)
+        verdict = _guide("lt", member, bs, fuel)
         if verdict.is_false:
             raise CertSearchError(
                 f"member {n} of {a!r} is not below {list(bs)!r}")
-        if not verdict.is_true:
+        if not verdict.is_true or _hints(member, bs) is not None:
             prem(n)
     _gen_probe(prem, (0, 1, 2))
     return le_intro(a, bs, gen=prem)
 
 
-def _lt_candidates(bs: tuple, limit: int):
-    """Selection tuples to try: single members first (they catch shared
-    structure through the identity shortcut), then widening prefixes."""
-    arities = [limit if b.arity is None else min(b.arity, limit) for b in bs]
-    for j, k in enumerate(arities):
+def _single(bs: tuple, j: int, i: int) -> tuple:
+    """The selection of member i of bound j alone."""
+    return tuple((i,) if k == j else () for k in range(len(bs)))
+
+
+def _steered(a: OrdName, bs: tuple, limit: int):
+    """For each bound, the single-member selection of its first member whose
+    Cantor normal form reaches a's, when a and those members carry one."""
+    ha = cnf.of(a)
+    if ha is None:
+        return
+    for j, b in enumerate(bs):
+        k = limit if b.arity is None else min(b.arity, limit)
         for i in range(k):
-            sel = [()] * len(bs)
-            sel[j] = (i,)
-            yield tuple(sel)
-    top = max(arities, default=0)
-    for m in range(1, top + 1):
-        yield tuple(tuple(range(min(m, k))) for k in arities)
+            hm = cnf.of(b.child(i))
+            if hm is not None and cnf.cmp(hm, ha) >= 0:
+                yield _single(bs, j, i)
+                break
+
+
+def _ranked(a: OrdName, bs: tuple, limit: int):
+    """Selection tuples to try, ranked by successor stack, the tallest stack
+    among the members a selection takes: selections at least as tall as the
+    goal come first, closest fit leading; too-short ones follow, tallest
+    first.  Ties keep generation order: single members (they catch shared
+    structure through the identity shortcut), then widening prefixes, whose
+    stacks are running maxima over their rows.  Nothing is ranked until the
+    first is asked for."""
+    arities = [limit if b.arity is None else min(b.arity, limit) for b in bs]
+    stacks = [[b.child(i).stack for i in range(k)]
+              for b, k in zip(bs, arities)]
+    candidates = []
+    for j, column in enumerate(stacks):
+        for i, dm in enumerate(column):
+            candidates.append((_single(bs, j, i), dm))
+    dm = -1
+    for m in range(1, max(arities, default=0) + 1):
+        dm = max([dm] + [c[m - 1] for c in stacks if m <= len(c)])
+        candidates.append((tuple(tuple(range(min(m, k))) for k in arities),
+                           dm))
+    da = a.stack
+    rank: dict = {}
+    for order, (sels, dm) in enumerate(candidates):
+        if sels not in rank and any(sels):
+            rank[sels] = (0, dm, order) if dm >= da else (1, -dm, order)
+    yield from sorted(rank, key=rank.get)
 
 
 def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
              st: _SearchState) -> Certificate:
     _spend(budget, st)
-    if compare.lt(a, bs, fuel).is_false:
-        raise CertSearchError(f"engine refutes {a!r} < {list(bs)!r}")
-    # Rank candidates by successor stack before any engine query: selections
-    # at least as tall as the goal come first, closest fit leading; too-short
-    # ones follow, tallest first.  Ties keep generation order (single
-    # members, then widening prefixes).
-    da = a.stack
-    ranked = []
-    tried = set()
-    for order, sels in enumerate(_lt_candidates(bs, limit)):
-        if sels in tried:
-            continue
-        tried.add(sels)
-        if all(not s for s in sels):
-            continue
-        sel_names = _selected(bs, sels)
-        dm = max(s.stack for s in sel_names)
-        rank = (0, dm, order) if dm >= da else (1, -dm, order)
-        ranked.append((rank, sels, sel_names))
-    ranked.sort(key=lambda t: t[0])
-    for _, sels, sel_names in ranked:
+    if _guide("lt", a, bs, fuel).is_false:
+        raise CertSearchError(f"guidance refutes {a!r} < {list(bs)!r}")
+    for sels in chain(_steered(a, bs, limit), _ranked(a, bs, limit)):
         _spend(budget, st)
-        if compare.le(a, sel_names, fuel).is_false:
+        sel_names = _selected(bs, sels)
+        if _guide("le", a, sel_names, fuel).is_false:
             continue
         try:
             inner = _settle("le", a, sel_names, fuel, limit, budget - 1,

@@ -16,6 +16,8 @@ import itertools
 import weakref
 from typing import Callable, Iterator, Optional, Sequence, Union
 
+from . import cnf
+
 
 class IllFoundedError(RuntimeError):
     """Raised when a structural recursion exceeds its depth guard."""
@@ -163,17 +165,21 @@ class OrdName:
     """Base class: either the zero name or a node over a family.
 
     A name's shape is fixed when it is built, from its family and the names
-    built before it, and is recorded in four slots:
+    built before it, and is recorded in five slots:
 
     - ``arity``: how many subordinals cover it: k over Fin(k), c + 1 over a
       family constant from c, None over any other natural family, 0 for zero;
     - ``height``: on a finitary name its tree height, else None;
     - ``width``: on a finitary name its largest index set, else None;
     - ``stack``: how many unary nodes sit on top of the first wider node or
-      zero.
+      zero;
+    - ``cnf``: on an infinitary name whose construction shows its Cantor
+      normal form, that form (see ``cnf.of``), else None.  It is a hint for
+      search only, and nothing checks it.
     """
 
-    __slots__ = ("ident", "arity", "height", "width", "stack", "__weakref__")
+    __slots__ = ("ident", "arity", "height", "width", "stack", "cnf",
+                 "__weakref__")
 
     @property
     def is_zero(self) -> bool:
@@ -206,6 +212,7 @@ class _ZeroName(OrdName):
     def __new__(cls) -> "_ZeroName":
         inst = super().__new__(cls)
         inst.ident = inst.arity = inst.height = inst.width = inst.stack = 0
+        inst.cnf = None
         return inst
 
     @property
@@ -225,7 +232,7 @@ class Node(OrdName):
     def __init__(self, family: Family):
         self.ident = _fresh_ident()
         self.family = family
-        self.height = self.width = None
+        self.height = self.width = self.cnf = None
         self.stack = 0
         children = family._children
         if children is None:
@@ -239,6 +246,11 @@ class Node(OrdName):
         if None not in heights:
             self.height = 1 + max(heights)
             self.width = max([len(children)] + [c.width for c in children])
+            return
+        # one more than the largest child
+        hints = [cnf.of(c) for c in children]
+        if None not in hints:
+            self.cnf = cnf.add(cnf.top(hints), cnf.ONE)
 
     @property
     def index(self) -> Index:
@@ -315,6 +327,7 @@ def omega() -> OrdName:
     global _omega
     if _omega is None:
         _omega = Node(Family.from_generator(und))
+        _omega.cnf = cnf.OMEGA
     return _omega
 
 
@@ -328,21 +341,37 @@ def subordinals(alpha: OrdName) -> Family:
 # ---------------------------------------------------------------------------
 # suprema
 
-# Valid (member, position) pairs in diagonal order: diagonal d = j + i with j
-# ascending, skipping positions past a member's arity.  Some member is always
-# nonempty, so the stream never dries up while more pairs are demanded.
+class _PairStream:
+    """Valid (member, position) pairs in diagonal order: diagonal d = j + i
+    with j ascending, skipping positions past a member's arity.  Some member
+    is always nonempty, so the stream never dries up while more pairs are
+    demanded.  The position is kept in plain fields and moves only past a
+    member whose arity was read, so a member that raises is read again on
+    the next pull, where a generator would have ended for good."""
 
+    __slots__ = ("count", "arity", "d", "j")
 
-def _pair_stream(count: Optional[int], arity: Callable[[int], Optional[int]]):
-    d = 0
-    while True:
-        j_top = d if count is None else min(d, count - 1)
-        for j in range(j_top + 1):
-            i = d - j
-            a = arity(j)
-            if a is None or i < a:
-                yield (j, i)
-        d += 1
+    def __init__(self, count: Optional[int],
+                 arity: Callable[[int], Optional[int]]):
+        self.count = count
+        self.arity = arity
+        self.d = self.j = 0
+
+    def __iter__(self) -> "_PairStream":
+        return self
+
+    def __next__(self) -> tuple:
+        while True:
+            d = self.d
+            j_top = d if self.count is None else min(d, self.count - 1)
+            while self.j <= j_top:
+                j = self.j
+                a = self.arity(j)
+                self.j = j + 1
+                if a is None or d - j < a:
+                    return (j, d - j)
+            self.d = d + 1
+            self.j = 0
 
 
 def _member_arity(m: OrdName) -> Optional[int]:
@@ -361,11 +390,11 @@ def sup_order(members) -> Iterator[tuple]:
     the valid pairs are walked diagonally, an eventually constant member
     contributing positions up to its constant point."""
     if isinstance(members, Family):
-        return _pair_stream(None, lambda j: _member_arity(members.at(j)))
+        return _PairStream(None, lambda j: _member_arity(members.at(j)))
     keep = [j for j, m in enumerate(members) if not m.is_zero]
     if all(isinstance(m.index, Fin) for m in members):
         return ((j, i) for j in keep for i in range(members[j].index.size))
-    walk = _pair_stream(len(keep), lambda j: _member_arity(members[keep[j]]))
+    walk = _PairStream(len(keep), lambda j: _member_arity(members[keep[j]]))
     return ((keep[j], i) for j, i in walk)
 
 
@@ -397,6 +426,9 @@ def _sup_of_members(members: tuple) -> OrdName:
         return node
     node = _sup_diagonal(members)
     _sup_members[node] = members
+    hints = [cnf.of(m) for m in members]
+    if None not in hints:
+        node.cnf = cnf.top(hints)
     return node
 
 

@@ -3,14 +3,18 @@
 The referee is the benchmark's CNF evaluator (``perfbench/checks.py``), which
 has its own parser and shares no code with ordcalc.  Every definite ``le`` and
 ``lt`` the engine gives at default fuel, from an empty memo, must agree with
-it, and the table's count of definite answers is pinned.
+it, and the table's count of definite answers is pinned.  The Cantor normal
+forms names record as search hints (``ordcalc.cnf``) are held to the same
+referee on the same table.
 """
 
 import os
 import sys
 
+from ordcalc import cnf
 from ordcalc.compare import clear_memo, le, lt
 from ordcalc.expr import lower, parse_expr
+from ordcalc.names import NAT
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -56,3 +60,20 @@ def test_definite_verdicts_agree_with_cnf():
         definite += 1
         assert v.value == checks.holds(kind, a, b), f"{a} {kind} {b}"
     assert definite == DEFINITE
+
+
+def test_recorded_forms_agree_with_cnf():
+    for text in sorted({t for pair in PAIRS for t in pair}):
+        name = _name(text)
+        form = cnf.of(name)
+        if text == "eps0":
+            assert form is None
+            continue
+        assert form == checks.value(text), text
+        if name.index is NAT:
+            # a name is the sup of its members' successors, so every member
+            # it lists is strictly below it
+            for i in range(21):
+                below = cnf.of(name.child(i))
+                assert below is not None and cnf.cmp(below, form) < 0, (
+                    f"member {i} of {text}")

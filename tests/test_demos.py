@@ -1,7 +1,4 @@
-"""The fast demos run to completion and print what they promise.
-
-arithmetic_and_certificates is left out: it takes several seconds, and the
-acceptance battery already covers its eq_certs/verify calls."""
+"""The demos run to completion and print what they promise."""
 
 import os
 import pathlib
@@ -17,6 +14,7 @@ SRC = pathlib.Path(ordcalc.__file__).resolve().parents[1]
 
 # demo script and one line its output must contain
 EXPECTED = {
+    "arithmetic_and_certificates": "  both directions verify: True",
     "hidden_bits": "  eps < eps' at width 256: unknown",
     "naming_and_comparing": "  41 < omega, width 48: yes",
     "sequent_divergence": "  sequent certificate for the disjunction verifies: True",

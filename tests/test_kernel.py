@@ -2,7 +2,7 @@
 
 import pytest
 
-from ordcalc import compare
+from ordcalc import cnf, compare
 from ordcalc.arith import add, mul, pow
 from ordcalc.compare import Fuel, Judgment
 from ordcalc.kernel import (Certificate, CertSearchError, Exhaustive,
@@ -299,6 +299,40 @@ class TestSearch:
             lt_cert(w2, (wpw,))
         with pytest.raises(CertSearchError):
             lt_cert(wpw, (w2,))
+
+
+def _outcome(search, policy):
+    """What a search yields: "refused", or whether verify accepts it."""
+    try:
+        cert = search()
+    except CertSearchError:
+        return "refused"
+    return "accepted" if verify(cert, policy).ok else "rejected"
+
+
+class TestWrongHint:
+    """A Cantor normal form on a name only steers the search: a wrong one
+    may cost a certificate but never yields an accepted false claim."""
+
+    def test_wrong_form_on_the_lhs(self):
+        w = mk_node(Family.from_generator(und))  # omega, built afresh
+        w.cnf = cnf.add(cnf.OMEGA, cnf.OMEGA)  # claims w+w
+        # true, but the form refutes it
+        assert _outcome(lambda: le_cert(w, (omega(),)), SPOT) == "refused"
+        # false, and the form lets the search try it
+        assert _outcome(lambda: lt_cert(omega(), (w,)), SPOT) == "refused"
+
+    def test_wrong_form_on_a_member_outside_the_samples(self):
+        # member 10 is w+1, which claims to be 3; every other member is a
+        # natural, so the name is w+2 and not below w.  The sweep must
+        # build member 10's premise, since SpotCheck samples only 0, 1, 2.
+        big = mk_node(Family.from_generator(lambda n: omega()))
+        big.cnf = cnf.nat(3)
+        lhs = mk_node(Family.from_generator(
+            lambda n: big if n == 10 else und(n)))
+        assert lhs.cnf is None
+        assert _outcome(lambda: le_cert(lhs, (omega(),)), SPOT) in (
+            "refused", "rejected")
 
 
 class TestFilteringCerts:

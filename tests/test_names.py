@@ -110,6 +110,22 @@ class TestSupFamily:
         s = sup_family(Family.from_children([und(1), und(2)]))
         assert oracle.val(s) == 2
 
+    def test_member_that_fails_once_is_pulled_again(self):
+        # member j is j+1, so position k of the sup is the natural k; the
+        # first request past position 1 reads member 2, which fails once
+        failures = [RuntimeError("member 2 not ready")]
+
+        def member(j):
+            if j == 2 and failures:
+                raise failures.pop()
+            return und(j + 1)
+
+        s = sup_family(Family.from_generator(member))
+        with pytest.raises(RuntimeError):
+            s.child(5)
+        assert s.child(5) is und(5)
+        assert [s.child(k) for k in range(5)] == [und(k) for k in range(5)]
+
 
 class TestSupFinite:
     def test_all_zero_collapses_to_zero(self):
