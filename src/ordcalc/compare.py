@@ -24,7 +24,13 @@ directly.
 
 On finitary names both relations come down to comparing tree heights.  When
 the fuel would carry the recursion to a verdict anyway, the engine reads it
-off the heights in one step instead.
+off the heights in one step instead.  The same holds one level up: when a
+scan's selections or members are finitary, the engine reads them off the
+bound set's member table, whose rows keep the running largest height and
+index set.  A finitary a < bs is true at the first selection that reaches
+a's height and false when the covering one stays below it; a <= bs with
+finitary bounds is false at the first member of a as high as they are.
+Each such scan costs one step instead of one per selection or member.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -34,6 +40,7 @@ a prefix covering it works too.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -169,12 +176,15 @@ class Judgment:
 _memo: dict = {}
 # per rhs ident set: its _Bounds record
 _sel_cache: dict = {}
+# per name ident: the record of the bound set holding that name alone
+_own_cache: dict = {}
 _stats = {"evals": 0, "hits": 0}
 
 
 def clear_memo() -> None:
     _memo.clear()
     _sel_cache.clear()
+    _own_cache.clear()
     _stats["evals"] = 0
     _stats["hits"] = 0
 
@@ -197,66 +207,176 @@ def _rhs_key(bs: tuple) -> frozenset:
 
 
 class _Bounds:
-    """What the engine reuses about one bound set: the witness selections
-    grown so far, the covering selection size, and, when every bound is
-    finitary, the bounds' largest height and largest index set.  A cover of
-    None (some bound has no finite arity) means no selection is largest, so
-    nothing is refuted against these bounds, and a query that only a
-    refutation could settle is unknown at every budget."""
+    """What the engine reuses about one bound set: the covering selection
+    size, and, when every bound is finitary, the bounds' largest height and
+    largest index set.  A cover of None (some bound has no finite arity)
+    means no selection is largest, so nothing is refuted against these
+    bounds, and a query that only a refutation could settle is unknown at
+    every budget.  The member table (rows, a _Rows) is made on first use,
+    since most records are only ever read for their heights."""
 
-    __slots__ = ("grown", "cover", "height", "width")
+    __slots__ = ("bs", "cover", "height", "width", "rows")
 
-    def __init__(self, bs: tuple):
-        self.grown: list = []
-        arities = [b.arity for b in bs]
-        self.cover = None if None in arities else max(arities)
-        self.height: Optional[int] = None
-        self.width = 0
-        heights = [b.height for b in bs]
-        if None not in heights:
-            self.height = max(heights)
-            self.width = max(b.width for b in bs)
+    def __init__(self, bs: tuple, cover: Optional[int],
+                 height: Optional[int], width: int):
+        self.bs = bs
+        self.cover = cover
+        self.height = height
+        self.width = width
+        self.rows: Optional[_Rows] = None
+
+
+class _Rows:
+    """A bound set's members, pulled once and a whole row at a time: row r
+    is member r of every bound that has one, index-major, the order the
+    witness selections take them in, so selection m is the first m rows.
+    ends[r] is where row r ends in members (and idents, their idents).
+    Running maxima over rows 0..r, measured on demand: cover[r] of the
+    arities (None once one has none), and height[r] and width[r] of the
+    heights and index sets, kept only for as long as every member is
+    finitary.  selections holds the selections built so far, by size."""
+
+    __slots__ = ("members", "idents", "ends", "cover", "height", "width",
+                 "selections")
+
+    def __init__(self):
+        self.members: list = []
+        self.idents: list = []
+        self.ends: list = []
+        self.cover: list = []
+        self.height: list = []
+        self.width: list = []
+        self.selections: dict = {}
+
+    def pull(self, bs: tuple) -> None:
+        """Pull the next row.  It is kept only once all of it is pulled, so
+        a member that fails leaves the table as it was."""
+        r = len(self.ends)
+        members, idents = self.members, self.idents
+        start = len(members)
+        try:
+            for b in bs:
+                if b.arity is None or r < b.arity:
+                    m = _child(b, r)
+                    members.append(m)
+                    idents.append(m.ident)
+        except BaseException:
+            del members[start:], idents[start:]
+            raise
+        self.ends.append(len(members))
+
+    def measure(self, bs: tuple, n: int) -> None:
+        """Pull the first n rows and extend the running maxima over them."""
+        while len(self.ends) < n:
+            self.pull(bs)
+        for r in range(len(self.cover), n):
+            row = self.members[self.ends[r - 1] if r else 0:self.ends[r]]
+            cover = self.cover[-1] if r else 0
+            for m in row:
+                if cover is None or m.arity is None:
+                    cover = None
+                    break
+                cover = max(cover, m.arity)
+            self.cover.append(cover)
+            if len(self.height) < r:
+                continue
+            height = self.height[-1] if r else 0
+            width = self.width[-1] if r else 0
+            for m in row:
+                if m.height is None:
+                    break
+                height = max(height, m.height)
+                width = max(width, m.width)
+            else:
+                self.height.append(height)
+                self.width.append(width)
 
 
 def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     """The record for these bounds, made on first use.  Keyed by ident set,
     so bound tuples that differ only in order share the first one's
-    selections."""
+    table."""
     rec = _sel_cache.get(rhs_key)
     if rec is None:
-        rec = _sel_cache[rhs_key] = _Bounds(bs)
+        arities = [b.arity for b in bs]
+        heights = [b.height for b in bs]
+        finitary = None not in heights
+        rec = _sel_cache[rhs_key] = _Bounds(
+            bs, None if None in arities else max(arities),
+            max(heights) if finitary else None,
+            max(b.width for b in bs) if finitary else 0)
     return rec
 
 
-def _selection(rec: _Bounds, bs: tuple, m: int):
+def _own(a: OrdName) -> _Bounds:
+    """The record of the bound set {a}, whose table lists a's members."""
+    rec = _own_cache.get(a.ident)
+    if rec is None:
+        rec = _own_cache[a.ident] = _bounds((a,), frozenset((a.ident,)))
+        _table(rec)
+    return rec
+
+
+def _table(rec: _Bounds) -> _Rows:
+    if rec.rows is None:
+        rec.rows = _Rows()
+    return rec.rows
+
+
+def _selection(rec: _Bounds, m: int):
     """The m-th witness selection for these bounds: each member contributes
-    its subordinal prefix of length m (clamped to the member's own arity).
-    Grown once per bound set, since every scan against the same bounds
-    retries the same selections."""
-    grown = rec.grown
-    while len(grown) < m:
-        k = len(grown) + 1
-        sel = []
-        for b in bs:
-            take = k if b.arity is None else min(k, b.arity)
-            for i in range(take):
-                sel.append(_child(b, i))
-        sel_t = tuple(sel)
-        grown.append((sel_t, _rhs_key(sel_t)))
-    return grown[m - 1]
+    its subordinal prefix of length m (clamped to the member's own arity),
+    that is, the table's first m rows.  Built once per bound set, since
+    every scan against the same bounds retries the same selections; its
+    own record is filed from row m-1's maxima."""
+    rows = _table(rec)
+    hit = rows.selections.get(m)
+    if hit is None:
+        rows.measure(rec.bs, m)
+        end = rows.ends[m - 1]
+        sel = tuple(rows.members[:end])
+        hit = rows.selections[m] = (sel, frozenset(rows.idents[:end]))
+        if hit[1] not in _sel_cache:
+            finitary = m <= len(rows.height)
+            _sel_cache[hit[1]] = _Bounds(
+                sel, rows.cover[m - 1],
+                rows.height[m - 1] if finitary else None,
+                rows.width[m - 1] if finitary else 0)
+    return hit
 
 
-def _in_prefix(a: OrdName, bs: tuple, top: int) -> bool:
+def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     """Is a one of the first top members of some bound, that is, a member of
-    one of the first top selections?  Members are pulled a whole row at a
-    time, index-major, the order _selection pulls them in, without building
-    the selections."""
-    for i in range(top):
-        row = [_child(b, i).ident for b in bs
-               if b.arity is None or i < b.arity]
-        if a.ident in row:
+    one of the first top selections?  Each bound's members are read from
+    the table of that bound alone, which every bound set holding it shares,
+    so the selections are never built.  Rows are pulled whole and
+    index-major, the order the selections take them in, and none past the
+    first row that holds a."""
+    ident = a.ident
+    found = top
+    short = []
+    for b in rec.bs:
+        t = _own(b).rows
+        idents = t.idents
+        if ident in idents:
+            found = min(found, idents.index(ident))
+        if len(idents) < top and (b.arity is None or len(idents) < b.arity):
+            short.append((b, t))
+    # pull the rows up to the first that holds a where a table lacks them
+    end = min(found + 1, top)
+    for r in range(min([len(t.ends) for _, t in short], default=end), end):
+        for b, t in short:
+            if len(t.ends) == r and (b.arity is None or r < b.arity):
+                # a one-bound row is one member: nothing to pull atomically
+                m = _child(b, r)
+                t.members.append(m)
+                t.idents.append(m.ident)
+                t.ends.append(r + 1)
+                if m is a:
+                    found = r
+        if found == r:
             return True
-    return False
+    return found < top
 
 
 def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
@@ -276,6 +396,43 @@ def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
     if width < rec.width or width < a.width:
         return None
     return h < rec.height if strict else h <= rec.height
+
+
+def _by_rows(rec: _Bounds, target: int, top: int,
+             width: int) -> Tuple[int, bool]:
+    """Read rec's first top rows, growing the table one row at a time, while
+    every member is finitary and the rows' index sets fit the width: the
+    number n of rows whose running height stays below target, and whether
+    row n reaches it.  No row past that one is pulled.  The selections up
+    to row n are what _by_height would refute against a target-high lhs,
+    and the one ending at row n what it would confirm; (0, False) reads
+    nothing."""
+    rows = _table(rec)
+    heights, widths = rows.height, rows.width
+    # running maxima never fall, so the rows measured so far are searched
+    lim = min(top, len(heights))
+    reach = bisect_left(heights, target, 0, lim)
+    wide = bisect_right(widths, width, 0, lim)
+    if wide < lim or reach < lim:
+        return (wide, False) if wide <= reach else (reach, True)
+    for r in range(lim, top):
+        rows.measure(rec.bs, r + 1)
+        if r == len(heights) or widths[r] > width:
+            return r, False
+        if heights[r] >= target:
+            return r, True
+    return top, False
+
+
+def _member_refutes(a: OrdName, target: int, n: int, width: int,
+                    depth: int) -> bool:
+    """Is one of a's first n members finitary and at least target high,
+    with every member before it finitary, at a fuel where _by_height
+    refutes it as strictly below a target-high bound set (depth is the
+    member query's)?  Read off the table of the bound set {a}."""
+    rec = _own(a)
+    k, reached = _by_rows(rec, target, n, width)
+    return reached and depth >= 2 * rec.rows.height[k] + 1
 
 
 def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
@@ -305,8 +462,14 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         return _unknown(WIDTH_TRUNCATED)
     # the scan exhausts a's subordinals only when its arity fits the width
     exhausted = a.arity is not None and a.arity <= width
+    n = a.arity if exhausted else width
+    if (a.height is None and rec.height is not None and rec.width <= width
+            and _member_refutes(a, rec.height, n, width, depth - 1)):
+        # finitary bounds: a member as high as they are is not below them
+        _memo[key] = False
+        return FALSE
     pending: Optional[TriBool] = None
-    for i in range(a.arity if exhausted else width):
+    for i in range(n):
         r = _lt(_child(a, i), bs, rhs_key, width, depth - 1, budget)
         if r.is_false:
             _memo[key] = False
@@ -348,15 +511,37 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # with no finite arity, a is below a selection only as one of its
         # members, and with no cover no refuted selection refutes a < bs:
         # only membership can give a verdict
-        if _in_prefix(a, bs, width):
+        if _in_prefix(a, rec, width):
             _memo[key] = True
             return TRUE
         return _unknown(WIDTH_TRUNCATED)
     top = width if cover is None else min(width, cover)
+    start = 1
+    if a.is_finitary and depth - 1 >= 2 * a.height and width >= a.width:
+        # the selections are tried in row order, and each one that the
+        # table reads is settled by heights: refuted while it stays below
+        # a, confirmed at the first row that reaches a
+        n, reached = _by_rows(rec, a.height, top, width)
+        if reached:
+            _memo[key] = True
+            return TRUE
+        if n == top:
+            if top == cover:
+                _memo[key] = False
+                return FALSE
+            return _unknown(WIDTH_TRUNCATED)
+        start = n + 1
+    elif a.height is None and rec.height is not None and rec.width <= width:
+        # finitary bounds whose cover fits the width: a member of a as high
+        # as the covering selection refutes it, and with it every selection
+        n = a.arity if a.arity is not None and a.arity <= width else width
+        if _member_refutes(a, rec.height - 1, n, width, depth - 2):
+            _memo[key] = False
+            return FALSE
     covering: Optional[TriBool] = None
     starved: Optional[TriBool] = None
-    for m in range(1, top + 1):
-        sel, sel_key = _selection(rec, bs, m)
+    for m in range(start, top + 1):
+        sel, sel_key = _selection(rec, m)
         r = _le(a, sel, sel_key, width, depth - 1, budget)
         if r.is_true:
             _memo[key] = True

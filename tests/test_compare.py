@@ -8,6 +8,7 @@ from ordcalc import arith, compare, oracle
 from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
                              Fuel, Ordering, clear_memo, cmp_finitary, eq,
                              finitary_fuel, le, lt, memo_stats)
+from ordcalc.expr import lower, parse_expr
 from ordcalc.names import (ZERO, Family, mk_node, omega, suc_list, sup_finite,
                            und)
 
@@ -142,9 +143,10 @@ class TestHeightShortcut:
 
 class TestStepBudget:
     def test_spent_steps_are_reported_as_such(self):
-        # both scans could still end definite, so the budget is what stops
-        # them: le(w, [w+1]) refutes through the cover of w+1, and
-        # lt(w+1, [w]) can be settled by a selection of w's members
+        # neither query can end definite: le(w, [w+1]) is never True, since
+        # w has no finite arity, and lt(w+1, [w]) never False, since {w} has
+        # no cover.  Both still scan, so at 50 steps the budget runs out
+        # before the width does, and that is the reason they give
         w = omega()
         w1 = arith.add(w, und(1))
         for rel, a, b in ((le, w, w1), (lt, w1, w)):
@@ -158,6 +160,102 @@ def _evals_of(rel, a, bs, fuel=Fuel()):
     clear_memo()
     v = rel(a, bs, fuel)
     return v, memo_stats()["evals"]
+
+
+class TestMemberTable:
+    """Scans whose selections or members are finitary are read off the
+    bound set's member table: running heights settle them in one eval."""
+
+    def test_finitary_lhs_is_confirmed_at_the_first_row_that_reaches_it(self):
+        v, evals = _evals_of(lt, und(40), (omega(),))
+        assert (v.value, evals) == (True, 1)
+
+    def test_light_pair_scans_cost_a_few_evals_per_member(self):
+        w = omega()
+        w1 = arith.add(w, und(1))
+        width = Fuel().width
+        for rel, a, b in ((le, w, w1), (lt, w1, w)):
+            v, evals = _evals_of(rel, a, (b,))
+            assert (v.value, v.reason) == (None, WIDTH_TRUNCATED)
+            assert evals <= 4 * width
+
+    def test_covering_selection_settles_by_heights(self):
+        # a family constant from index 3 is not finitary, but its cover, the
+        # first 4 rows, is: 4 is as high as it, and 3 below it
+        four = mk_node(Family.from_generator(und, const_from=3))
+        for a, value in ((und(6), False), (und(4), False), (und(3), True)):
+            v, evals = _evals_of(lt, a, (four,))
+            assert (v.value, evals) == (value, 1)
+        # with rows past the width the covering selection is out of reach
+        v, evals = _evals_of(lt, und(6), (four,), Fuel(width=2))
+        assert (v.value, v.reason, evals) == (None, WIDTH_TRUNCATED, 1)
+
+    def test_rows_wider_than_the_fuel_are_left_to_the_scan(self):
+        # member 0 of the bound reaches height 3 only through an index set
+        # of 4, wider than a width of 2 lets the scan look: it stays unknown
+        x = suc_list([und(0), und(0), und(0), und(5)])
+        steady = mk_node(Family.from_generator(lambda i: x))
+        for width, value in ((2, None), (4, True)):
+            clear_memo()
+            assert lt(und(3), (steady,), Fuel(width=width)).value is value
+        # the same when row 0 was measured by an earlier query
+        clear_memo()
+        assert lt(und(6), (steady,), Fuel(width=4)).is_true
+        assert lt(und(3), (steady,), Fuel(width=2)).is_unknown
+
+    def test_member_as_high_as_finitary_bounds_refutes(self):
+        w = omega()
+        for rel, bound in ((le, und(9)), (lt, und(10))):
+            v, evals = _evals_of(rel, w, (bound,))
+            assert (v.value, evals) == (False, 1)
+
+    def test_finite_lhs_that_is_not_finitary(self):
+        # four's members are 0..3: only a member as high as the bounds
+        # refutes le, and only one as high as their cover refutes lt
+        four = mk_node(Family.from_generator(und, const_from=3))
+        for rel, bound, value in ((le, 3, False), (le, 4, True),
+                                  (lt, 4, False), (lt, 5, True)):
+            clear_memo()
+            assert rel(four, (und(bound),)).value is value, (rel, bound)
+
+
+EXPRESSIONS = ("0 1 3 7 w w+1 w+2 w+3 1+w 2+w suc(w) w*2 w+w w*2+1 w*3 w^2 "
+               "w^w sup(w,3) sup(w,w+1) eps0").split()
+FUELS = (Fuel(), Fuel(steps=50), Fuel(steps=300), Fuel(4, 12), Fuel(8, 6),
+         Fuel(16, 40), Fuel(3, 3))
+
+
+def _verdicts(names, decline):
+    """Every le and lt between the names at every fuel, each from an empty
+    memo, with the member-table readers declining or not."""
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        if decline:
+            mp.setattr(compare, "_by_rows", lambda *args: (0, False))
+        for i, fuel in enumerate(FUELS):
+            for a in EXPRESSIONS:
+                for b in EXPRESSIONS:
+                    for kind, rel in (("le", le), ("lt", lt)):
+                        clear_memo()
+                        v = rel(names[a], (names[b],), fuel)
+                        out[(i, a, kind, b)] = (v.value, v.reason)
+    return out
+
+
+def test_member_table_changes_no_definite_verdict():
+    """The readers give the scan's verdicts: a definite verdict stays, and
+    on these queries no unknown even becomes definite.  An unknown changes
+    its reason only away from steps-exhausted, where the scan spent its
+    budget on selections the table settles at once."""
+    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+    slow = _verdicts(names, decline=True)
+    quick = _verdicts(names, decline=False)
+    assert len(quick) == 5600
+    for query, (value, reason) in slow.items():
+        now = quick[query]
+        assert now[0] is value, (query, (value, reason), now)
+        if now[1] != reason:
+            assert reason == STEPS_EXHAUSTED, (query, reason, now)
 
 
 class TestUnsettledScans:
@@ -186,6 +284,18 @@ class TestUnsettledScans:
         assert v.is_true
         assert evals == 1
         assert memo_stats()["entries"] == 1
+
+    def test_membership_reads_rows_pulled_before(self):
+        w = omega()
+        steady = mk_node(Family.from_generator(
+            lambda i: und(i) if i < 3 else w))
+        for bs in ((steady,), (arith.add(und(1), w), steady)):
+            clear_memo()
+            # 1+w is no member: all 64 rows of steady are pulled
+            assert lt(arith.add(und(1), w), (steady,)).is_unknown
+            # w is member 3, in a row already pulled
+            assert lt(w, bs, Fuel(width=3)).is_unknown
+            assert lt(w, bs, Fuel(width=4)).is_true
 
     def test_membership_reaches_past_the_first_bound(self):
         w = omega()
@@ -220,6 +330,23 @@ class TestFailingGenerator:
         clear_memo()
         with pytest.raises(compare.EngineError):
             lt(omega(), (f,))
+
+    def test_table_pulls_no_row_past_the_one_that_settles(self):
+        # the member table grows a row at a time: a finitary lhs is settled
+        # at f's row 3, and f as an lhs against finitary bounds at its
+        # member 2, both before the row that fails
+        f = mk_node(Family.from_generator(_failing_past_five))
+        clear_memo()
+        assert lt(und(3), (f,)).is_true
+        clear_memo()
+        assert le(f, (und(2),)).is_false
+
+    def test_table_scan_past_the_failing_row_raises(self):
+        f = mk_node(Family.from_generator(_failing_past_five))
+        for fuel in (Fuel(), Fuel(steps=3)):
+            clear_memo()
+            with pytest.raises(compare.EngineError):
+                lt(und(7), (f,), fuel)
 
 
 class TestMemo:
