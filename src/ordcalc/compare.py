@@ -176,15 +176,12 @@ class Judgment:
 _memo: dict = {}
 # per rhs ident set: its _Bounds record
 _sel_cache: dict = {}
-# per name ident: the record of the bound set holding that name alone
-_own_cache: dict = {}
 _stats = {"evals": 0, "hits": 0}
 
 
 def clear_memo() -> None:
     _memo.clear()
     _sel_cache.clear()
-    _own_cache.clear()
     _stats["evals"] = 0
     _stats["hits"] = 0
 
@@ -292,12 +289,21 @@ class _Rows:
                 self.width.append(width)
 
 
+def _distinct(bs: tuple) -> tuple:
+    """bs with each name kept at its first place only."""
+    seen: set = set()
+    return tuple(b for b in bs if not (b.ident in seen or seen.add(b.ident)))
+
+
 def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     """The record for these bounds, made on first use.  Keyed by ident set,
-    so bound tuples that differ only in order share the first one's
-    table."""
+    so bound tuples that differ only in order or repetition share the first
+    one's table, which holds each bound once: a row has one member per
+    bound."""
     rec = _sel_cache.get(rhs_key)
     if rec is None:
+        if len(rhs_key) < len(bs):
+            bs = _distinct(bs)
         arities = [b.arity for b in bs]
         heights = [b.height for b in bs]
         finitary = None not in heights
@@ -309,12 +315,9 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
 
 
 def _own(a: OrdName) -> _Bounds:
-    """The record of the bound set {a}, whose table lists a's members."""
-    rec = _own_cache.get(a.ident)
-    if rec is None:
-        rec = _own_cache[a.ident] = _bounds((a,), frozenset((a.ident,)))
-        _table(rec)
-    return rec
+    """The record of the bound set {a}, whose table lists a's members, one
+    to a row."""
+    return _bounds((a,), frozenset((a.ident,)))
 
 
 def _table(rec: _Bounds) -> _Rows:
@@ -326,16 +329,19 @@ def _table(rec: _Bounds) -> _Rows:
 def _selection(rec: _Bounds, m: int):
     """The m-th witness selection for these bounds: each member contributes
     its subordinal prefix of length m (clamped to the member's own arity),
-    that is, the table's first m rows.  Built once per bound set, since
-    every scan against the same bounds retries the same selections; its
-    own record is filed from row m-1's maxima."""
+    that is, the table's first m rows, each name kept once.  Built once per
+    bound set, since every scan against the same bounds retries the same
+    selections; its own record is filed from row m-1's maxima."""
     rows = _table(rec)
     hit = rows.selections.get(m)
     if hit is None:
         rows.measure(rec.bs, m)
         end = rows.ends[m - 1]
         sel = tuple(rows.members[:end])
-        hit = rows.selections[m] = (sel, frozenset(rows.idents[:end]))
+        sel_key = frozenset(rows.idents[:end])
+        if len(sel_key) < end:
+            sel = _distinct(sel)
+        hit = rows.selections[m] = (sel, sel_key)
         if hit[1] not in _sel_cache:
             finitary = m <= len(rows.height)
             _sel_cache[hit[1]] = _Bounds(
@@ -351,12 +357,13 @@ def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     the table of that bound alone, which every bound set holding it shares,
     so the selections are never built.  Rows are pulled whole and
     index-major, the order the selections take them in, and none past the
-    first row that holds a."""
+    first row that holds a.  Such a table has one member to a row, so a
+    member's position is its row."""
     ident = a.ident
     found = top
     short = []
     for b in rec.bs:
-        t = _own(b).rows
+        t = _table(_own(b))
         idents = t.idents
         if ident in idents:
             found = min(found, idents.index(ident))
@@ -367,12 +374,8 @@ def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     for r in range(min([len(t.ends) for _, t in short], default=end), end):
         for b, t in short:
             if len(t.ends) == r and (b.arity is None or r < b.arity):
-                # a one-bound row is one member: nothing to pull atomically
-                m = _child(b, r)
-                t.members.append(m)
-                t.idents.append(m.ident)
-                t.ends.append(r + 1)
-                if m is a:
+                t.pull((b,))
+                if t.idents[-1] == ident:
                     found = r
         if found == r:
             return True

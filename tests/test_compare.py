@@ -223,6 +223,14 @@ EXPRESSIONS = ("0 1 3 7 w w+1 w+2 w+3 1+w 2+w suc(w) w*2 w+w w*2+1 w*3 w^2 "
                "w^w sup(w,3) sup(w,w+1) eps0").split()
 FUELS = (Fuel(), Fuel(steps=50), Fuel(steps=300), Fuel(4, 12), Fuel(8, 6),
          Fuel(16, 40), Fuel(3, 3))
+# left out at the default fuel only: each of these scans runs for 8,000 to
+# 32,768 evals with the readers declining or not and ends unknown on both
+# sides, which took most of this test's time; the other fuels still ask them
+HEAVY = ({("le", a, "w*2+1") for a in "w*2 w+w w*3 w^2 eps0".split()}
+         | {(kind, a, b) for kind, a in (("le", "w+3"), ("lt", "w+2"),
+                                         ("lt", "w+3"))
+            for b in "w*2 w*3 w^2 w^w".split()}
+         | {("lt", "w+3", "w*2+1")})
 
 
 def _verdicts(names, decline):
@@ -236,6 +244,8 @@ def _verdicts(names, decline):
             for a in EXPRESSIONS:
                 for b in EXPRESSIONS:
                     for kind, rel in (("le", le), ("lt", lt)):
+                        if i == 0 and (kind, a, b) in HEAVY:
+                            continue
                         clear_memo()
                         v = rel(names[a], (names[b],), fuel)
                         out[(i, a, kind, b)] = (v.value, v.reason)
@@ -250,7 +260,7 @@ def test_member_table_changes_no_definite_verdict():
     names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
     slow = _verdicts(names, decline=True)
     quick = _verdicts(names, decline=False)
-    assert len(quick) == 5600
+    assert len(quick) == 5600 - len(HEAVY) == 5582
     for query, (value, reason) in slow.items():
         now = quick[query]
         assert now[0] is value, (query, (value, reason), now)
@@ -296,6 +306,31 @@ class TestUnsettledScans:
             # w is member 3, in a row already pulled
             assert lt(w, bs, Fuel(width=3)).is_unknown
             assert lt(w, bs, Fuel(width=4)).is_true
+
+    def test_repeated_bound_reads_the_bound_alone(self):
+        # a bound set is a set: (steady, steady) shares the record of
+        # {steady}, and so the table that membership reads, one member to a
+        # row, where w is member 3
+        w = omega()
+        steady = mk_node(Family.from_generator(
+            lambda i: und(i) if i < 3 else w))
+        clear_memo()
+        assert lt(und(3), (steady, steady)).is_true
+        for width, value in ((3, None), (4, True)):
+            for bs in ((steady,), (steady, steady)):
+                assert lt(w, bs, Fuel(width=width)).value is value
+
+    def test_selection_repeating_a_name_reads_it_once(self):
+        # selection 1 of two families whose members are all steady is
+        # (steady, steady), filed under the ident set {steady}
+        w = omega()
+        steady = mk_node(Family.from_generator(
+            lambda i: und(i) if i < 3 else w))
+        s = mk_node(Family.from_generator(lambda i: steady))
+        t = mk_node(Family.from_generator(lambda i: steady))
+        clear_memo()
+        assert lt(und(3), (s, t)).is_true
+        assert lt(w, (steady,), Fuel(width=4)).is_true
 
     def test_membership_reaches_past_the_first_bound(self):
         w = omega()
