@@ -31,6 +31,9 @@ index set.  A finitary a < bs is true at the first selection that reaches
 a's height and false when the covering one stays below it; a <= bs with
 finitary bounds is false at the first member of a as high as they are.
 Each such scan costs one step instead of one per selection or member.
+The certificate search reads a single name's table too (``reach`` and
+``members``), for its members and their running largest Cantor normal form;
+no verdict reads a form.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
+from . import cnf
 from .names import OrdName, max_fin_width, structural_depth
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -231,10 +235,16 @@ class _Rows:
     Running maxima over rows 0..r, measured on demand: cover[r] of the
     arities (None once one has none), and height[r] and width[r] of the
     heights and index sets, kept only for as long as every member is
-    finitary.  selections holds the selections built so far, by size."""
+    finitary.  selections holds the selections built so far, by size.
+
+    The table of a single name (_own) has one member to a row, and the
+    certificate search reads it too: forms[r] is the largest Cantor normal
+    form among members 0..r, members without one not counted (None while
+    none has one).  Only reach measures it, and it stays None until then,
+    since the engine never reads forms."""
 
     __slots__ = ("members", "idents", "ends", "cover", "height", "width",
-                 "selections")
+                 "selections", "forms")
 
     def __init__(self):
         self.members: list = []
@@ -244,6 +254,7 @@ class _Rows:
         self.height: list = []
         self.width: list = []
         self.selections: dict = {}
+        self.forms: Optional[list] = None
 
     def pull(self, bs: tuple) -> None:
         """Pull the next row.  It is kept only once all of it is pulled, so
@@ -425,6 +436,61 @@ def _by_rows(rec: _Bounds, target: int, top: int,
         if heights[r] >= target:
             return r, True
     return top, False
+
+
+def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
+    """The index of the first of b's first k members whose Cantor normal
+    form is at least h, or None: what a scan of those members from index 0
+    would find, read off b's own member table for the certificate search.
+    The rows whose running largest form is measured are bisected; past
+    them the table grows one row at a time, and no member is pulled past
+    the first that reaches h.  Nothing the engine decides reads forms."""
+    rec = _own(b)
+    rows = _table(rec)
+    forms = rows.forms
+    if forms is None:
+        forms = rows.forms = []
+    if b.arity is not None:
+        k = min(k, b.arity)
+    cmp = cnf.cmp
+    # running maxima never fall, so the rows measured so far are bisected
+    n = min(k, len(forms))
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        f = forms[mid]
+        if f is None or cmp(f, h) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < n:
+        return lo
+    members = rows.members
+    for r in range(len(forms), k):
+        if r == len(rows.ends):
+            rows.pull(rec.bs)
+        f = cnf.of(members[r])
+        if f is not None and cmp(f, h) >= 0:
+            # every form before it is below h, so it is the new maximum
+            forms.append(f)
+            return r
+        top = forms[-1] if forms else None
+        if f is not None and (top is None or cmp(f, top) > 0):
+            top = f
+        forms.append(top)
+    return None
+
+
+def members(b: OrdName, k: int) -> list:
+    """b's first k members (all of them when it has fewer), read off b's
+    own member table and pulled into it as needed."""
+    rec = _own(b)
+    rows = _table(rec)
+    if b.arity is not None:
+        k = min(k, b.arity)
+    while len(rows.ends) < k:
+        rows.pull(rec.bs)
+    return rows.members[:k]
 
 
 def _member_refutes(a: OrdName, target: int, n: int, width: int,

@@ -593,15 +593,19 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
     Exhaustive visits everything, each shared subtree once, and is rejected
     outright on certificates with generated premises.  SpotCheck visits
     finite premises exhaustively and generated ones at the sample indices,
-    descending at most its depth.  A premise that cannot be generated, or
-    is not of type cls, fails at its own path and is not descended into; a
+    descending at most its depth; a shared premise is walked once, from the
+    shallowest depth any path reaches it at, since that walk goes at least
+    as far down as any other.  A premise that cannot be generated, or is
+    not of type cls, fails at its own path and is not descended into; a
     rule check that raises on a malformed payload fails its node."""
     report = VerifyReport(ok=True)
     spot = policy if isinstance(policy, SpotCheck) else None
     if spot is None and not isinstance(policy, Exhaustive):
         raise KernelError(f"unknown verification policy: {policy!r}")
     foreign = f"not a certificate of this calculus ({cls.__name__})"
-    seen_exhaustive: set = set()
+    # id of each node walked: the node, held so that a generated premise is
+    # not freed and its id reused while the walk lasts, and the depth
+    walked: dict = {}
 
     def guarded(check: Callable[..., Optional[str]], *args) -> Optional[str]:
         try:
@@ -632,8 +636,10 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
     def walk(c: Certificate, path: str, depth: int) -> None:
         if spot is not None and depth > spot.depth:
             return
-        if spot is None and id(c) in seen_exhaustive:
+        prior = walked.get(id(c))
+        if prior is not None and (spot is None or prior[1] <= depth):
             return
+        walked[id(c)] = (c, depth)
         report.visited += 1
         msg = foreign if type(c) is not cls else local(c)
         if msg is not None:
@@ -650,8 +656,6 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
                 return
         else:
             indices = range(len(c.premises))
-            if spot is None:
-                seen_exhaustive.add(id(c))
         check = rules[c.rule].premise
         for i in indices:
             sub = f"{path}.{i}"
@@ -671,7 +675,12 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
                 continue
             walk(p, sub, depth + 1)
 
-    walk(cert, "root", 0)
+    try:
+        walk(cert, "root", 0)
+    finally:
+        # walk is a closure that refers to itself, a cycle that would keep
+        # the map, and the premises it holds, alive until a full collection
+        walked.clear()
     return report
 
 
@@ -924,15 +933,19 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     # not enough: every member the engine cannot confirm below the bounds
     # must yield a premise certificate now, and a refuted member sinks the
     # family.  A hint confirms nothing, so a hinted member always yields
-    # its premise.  Members beyond the sweep remain the caller's totality
+    # its premise, whose search asks the hint first and refuses what it
+    # refutes.  Members beyond the sweep remain the caller's totality
     # obligation, as with any generator handed to le_intro.
     for n in range(limit + 1):
         member = a.child(n)
-        verdict = _guide("lt", member, bs, fuel)
+        if _hints(member, bs) is not None:
+            prem(n)
+            continue
+        verdict = compare.lt(member, bs, fuel)
         if verdict.is_false:
             raise CertSearchError(
                 f"member {n} of {a!r} is not below {list(bs)!r}")
-        if not verdict.is_true or _hints(member, bs) is not None:
+        if not verdict.is_true:
             prem(n)
     _gen_probe(prem, (0, 1, 2))
     return le_intro(a, bs, gen=prem)
@@ -944,18 +957,18 @@ def _single(bs: tuple, j: int, i: int) -> tuple:
 
 
 def _steered(a: OrdName, bs: tuple, limit: int):
-    """For each bound, the single-member selection of its first member whose
-    Cantor normal form reaches a's, when a and those members carry one."""
+    """For each bound, the single-member selection of its first member
+    (among the first limit) whose Cantor normal form reaches a's, when a and
+    that member carry one.  Each bound's running largest form is kept on its
+    member table (compare.reach), so a goal bisects what earlier goals of
+    the search measured instead of rescanning the bound from index 0."""
     ha = cnf.of(a)
     if ha is None:
         return
     for j, b in enumerate(bs):
-        k = limit if b.arity is None else min(b.arity, limit)
-        for i in range(k):
-            hm = cnf.of(b.child(i))
-            if hm is not None and cnf.cmp(hm, ha) >= 0:
-                yield _single(bs, j, i)
-                break
+        i = compare.reach(b, ha, limit)
+        if i is not None:
+            yield _single(bs, j, i)
 
 
 def _ranked(a: OrdName, bs: tuple, limit: int):
@@ -964,11 +977,11 @@ def _ranked(a: OrdName, bs: tuple, limit: int):
     goal come first, closest fit leading; too-short ones follow, tallest
     first.  Ties keep generation order: single members (they catch shared
     structure through the identity shortcut), then widening prefixes, whose
-    stacks are running maxima over their rows.  Nothing is ranked until the
-    first is asked for."""
-    arities = [limit if b.arity is None else min(b.arity, limit) for b in bs]
-    stacks = [[b.child(i).stack for i in range(k)]
-              for b, k in zip(bs, arities)]
+    stacks are running maxima over their rows.  The members are read off
+    each bound's member table (compare.members).  Nothing is ranked until
+    the first is asked for."""
+    stacks = [[m.stack for m in compare.members(b, limit)] for b in bs]
+    arities = [len(column) for column in stacks]
     candidates = []
     for j, column in enumerate(stacks):
         for i, dm in enumerate(column):

@@ -29,6 +29,13 @@ def seeded_pairs(count: int, salt: int = 0, depth: int = 3, width: int = 3):
     ]
 
 
+def failing_past_five(i: int):
+    """A family generator whose members past index 5 cannot be built."""
+    if i > 5:
+        raise ValueError("no member past index 5")
+    return und(i)
+
+
 @pytest.fixture
 def report_line(request):
     """Write one line that stays visible under captured output."""

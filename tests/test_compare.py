@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordcalc import arith, compare, oracle
+from ordcalc import arith, cnf, compare, oracle
 from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
                              Fuel, Ordering, clear_memo, cmp_finitary, eq,
                              finitary_fuel, le, lt, memo_stats)
@@ -12,7 +12,7 @@ from ordcalc.expr import lower, parse_expr
 from ordcalc.names import (ZERO, Family, mk_node, omega, suc_list, sup_finite,
                            und)
 
-from .conftest import finitary_names, seeded_pairs
+from .conftest import failing_past_five, finitary_names, seeded_pairs
 
 
 class TestLe:
@@ -268,6 +268,64 @@ def test_member_table_changes_no_definite_verdict():
             assert reason == STEPS_EXHAUSTED, (query, reason, now)
 
 
+def _scan(b, h, k):
+    """The first of b's first k members whose form reaches h, by a linear
+    scan from index 0."""
+    for i in range(k if b.arity is None else min(k, b.arity)):
+        form = cnf.of(b.child(i))
+        if form is not None and cnf.cmp(form, h) >= 0:
+            return i
+    return None
+
+
+def _reach_bounds():
+    """The differential's expressions, a natural family whose members at
+    0, 3, 10 and 25 carry no form (each is w built afresh) and whose members
+    at 6, 13, ... are w+i, and a finitely indexed bound."""
+    w = omega()
+    bounds = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+
+    def patchy(i):
+        if i in (0, 3, 10, 25):
+            return mk_node(Family.from_generator(und))
+        return arith.add(w, und(i)) if i % 7 == 6 else und(i)
+
+    bounds["patchy"] = mk_node(Family.from_generator(patchy))
+    bounds["fin"] = mk_node(Family.from_children(
+        [und(3), mk_node(Family.from_generator(und)), und(1),
+         arith.add(w, und(1)), und(2)]))
+    return bounds
+
+
+def _reach_goals(b):
+    forms = [cnf.of(b.child(i))
+             for i in range(48 if b.arity is None else min(48, b.arity))]
+    goals = {f for f in forms if f is not None}
+    return sorted(goals | {cnf.nat(n) for n in range(71)}, key=repr)
+
+
+def test_reach_finds_what_the_linear_scan_finds():
+    """compare.reach against a scan from index 0: each query from an empty
+    memo, and then all of a bound's queries in one memo, where the rows
+    measured by earlier queries are bisected.  No row is pulled past the
+    member that answers, nor past k when none does."""
+    for label, b in _reach_bounds().items():
+        goals = _reach_goals(b)
+        for k in (1, 5, 48):
+            want = [_scan(b, h, k) for h in goals]
+            for h, i in zip(goals, want):
+                clear_memo()
+                assert compare.reach(b, h, k) == i, (label, h, k)
+                rows = len(compare._own(b).rows.ends)
+                assert rows <= (k if i is None else i + 1), (label, h, k)
+            clear_memo()
+            pulled = 0
+            for h, i in zip(goals, want):
+                assert compare.reach(b, h, k) == i, (label, h, k)
+                pulled = max(pulled, k if i is None else i + 1)
+                assert len(compare._own(b).rows.ends) <= pulled
+
+
 class TestUnsettledScans:
     """A query whose lhs has no finite arity, against bounds with no cover,
     cannot end in a refutation, nor in a le that exhausts the lhs: it is
@@ -342,18 +400,12 @@ class TestUnsettledScans:
         assert lt(w, (steady,), Fuel(width=3)).is_unknown
 
 
-def _failing_past_five(i: int):
-    if i > 5:
-        raise ValueError("no member past index 5")
-    return und(i)
-
-
 class TestFailingGenerator:
     """Which queries touch a family's members past the point its generator
     fails: a pruned query pulls none, a membership test pulls the bounds'."""
 
     def test_pruned_queries_return_unknown(self):
-        f = mk_node(Family.from_generator(_failing_past_five))
+        f = mk_node(Family.from_generator(failing_past_five))
         w = omega()
         for rel, a, b in ((le, f, w), (lt, f, w), (le, w, f)):
             clear_memo()
@@ -361,7 +413,7 @@ class TestFailingGenerator:
             assert (v.value, v.reason) == (None, WIDTH_TRUNCATED)
 
     def test_membership_scan_of_the_bound_raises(self):
-        f = mk_node(Family.from_generator(_failing_past_five))
+        f = mk_node(Family.from_generator(failing_past_five))
         clear_memo()
         with pytest.raises(compare.EngineError):
             lt(omega(), (f,))
@@ -370,14 +422,14 @@ class TestFailingGenerator:
         # the member table grows a row at a time: a finitary lhs is settled
         # at f's row 3, and f as an lhs against finitary bounds at its
         # member 2, both before the row that fails
-        f = mk_node(Family.from_generator(_failing_past_five))
+        f = mk_node(Family.from_generator(failing_past_five))
         clear_memo()
         assert lt(und(3), (f,)).is_true
         clear_memo()
         assert le(f, (und(2),)).is_false
 
     def test_table_scan_past_the_failing_row_raises(self):
-        f = mk_node(Family.from_generator(_failing_past_five))
+        f = mk_node(Family.from_generator(failing_past_five))
         for fuel in (Fuel(), Fuel(steps=3)):
             clear_memo()
             with pytest.raises(compare.EngineError):

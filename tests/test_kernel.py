@@ -17,6 +17,8 @@ from ordcalc.kernel import (Certificate, CertSearchError, Exhaustive,
 from ordcalc.names import (BitSeq, Family, ZERO, eps_llpo, filtering, mk_node,
                            omega, suc, suc_list, sup_finite, und)
 
+from .conftest import failing_past_five
+
 SPOT = SpotCheck(samples=(0, 1, 2), depth=64)
 
 
@@ -291,6 +293,11 @@ class TestSearch:
         compare.le(kw, (omega(),))
         assert ok(le_cert(kw, (omega(),)), SPOT)
 
+    def test_strict_below_a_tower_from_a_product(self):
+        # w^2*2 < w^w is true; its members are steered to members of w^w
+        w = omega()
+        assert ok(lt_cert(mul(pow(w, und(2)), und(2)), (pow(w, w),)), SPOT)
+
     def test_strict_product_identities_refused(self):
         # the two names are equal, so neither strict direction can hold
         w2 = mul(omega(), und(2))
@@ -299,6 +306,38 @@ class TestSearch:
             lt_cert(w2, (wpw,))
         with pytest.raises(CertSearchError):
             lt_cert(wpw, (w2,))
+
+
+class TestSearchCost:
+    """The search reads each bound's members, and their running largest
+    form, off the bound's member table, so a sweep over the lhs's members
+    compares forms about once a member rather than once a member pair."""
+
+    def test_light_claim_compares_few_forms(self, monkeypatch):
+        calls = [0]
+        real = cnf.cmp
+
+        def counted(a, b):
+            calls[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(cnf, "cmp", counted)
+        compare.clear_memo()
+        fwd, back = eq_certs(add(und(1), omega()), omega())
+        assert calls[0] <= 1500
+        assert ok(fwd, SPOT) and ok(back, SPOT)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_bound_that_fails_past_the_member_needed(self, k):
+        f = mk_node(Family.from_generator(failing_past_five))
+        compare.clear_memo()
+        assert ok(lt_cert(und(k), (f,)), SPOT)
+
+    def test_bound_that_fails_at_the_member_needed(self):
+        f = mk_node(Family.from_generator(failing_past_five))
+        compare.clear_memo()
+        with pytest.raises(compare.EngineError, match="index 6"):
+            lt_cert(und(7), (f,))
 
 
 def _outcome(search, policy):
