@@ -25,15 +25,15 @@ directly.
 On finitary names both relations come down to comparing tree heights.  When
 the fuel would carry the recursion to a verdict anyway, the engine reads it
 off the heights in one step instead.  The same holds one level up: when a
-scan's selections or members are finitary, the engine reads them off the
-bound set's member table, whose rows keep the running largest height and
-index set.  A finitary a < bs is true at the first selection that reaches
-a's height and false when the covering one stays below it; a <= bs with
-finitary bounds is false at the first member of a as high as they are.
-Each such scan costs one step instead of one per selection or member.
-The certificate search reads a single name's table too (``reach`` and
-``members``), for its members and their running largest Cantor normal form;
-no verdict reads a form.
+scan's selections or members are finitary, the engine reads them off member
+tables, one per name, holding its members with their running largest height
+and index set; row r of a bound set is member r of each bound.  A finitary
+a < bs is true at the first selection that reaches a's height and false when
+the covering one stays below it; a <= bs with finitary bounds is false at
+the first member of a as high as they are.  Each such scan costs one step
+instead of one per selection or member.  The certificate search reads the
+tables too, for members and their running largest Cantor normal form
+(``reach`` and ``members``); no verdict reads a form.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -180,12 +180,15 @@ class Judgment:
 _memo: dict = {}
 # per rhs ident set: its _Bounds record
 _sel_cache: dict = {}
+# per name ident: its member table, a _Rows
+_tables: dict = {}
 _stats = {"evals": 0, "hits": 0}
 
 
 def clear_memo() -> None:
     _memo.clear()
     _sel_cache.clear()
+    _tables.clear()
     _stats["evals"] = 0
     _stats["hits"] = 0
 
@@ -194,7 +197,9 @@ def memo_stats() -> dict:
     return {"evals": _stats["evals"], "hits": _stats["hits"], "entries": len(_memo)}
 
 
-def _child(a: OrdName, i: int) -> OrdName:
+def child(a: OrdName, i: int) -> OrdName:
+    """Member i of a, with a failing family generator reported as
+    EngineError: how the engine and the certificate search pull members."""
     try:
         return a.child(i)
     except (RecursionError, KeyboardInterrupt):
@@ -213,10 +218,10 @@ class _Bounds:
     largest index set.  A cover of None (some bound has no finite arity)
     means no selection is largest, so nothing is refuted against these
     bounds, and a query that only a refutation could settle is unknown at
-    every budget.  The member table (rows, a _Rows) is made on first use,
-    since most records are only ever read for their heights."""
+    every budget.  selections holds the witness selections built so far,
+    by size, and tables the bounds' member tables once first read."""
 
-    __slots__ = ("bs", "cover", "height", "width", "rows")
+    __slots__ = ("bs", "cover", "height", "width", "selections", "tables")
 
     def __init__(self, bs: tuple, cover: Optional[int],
                  height: Optional[int], width: int):
@@ -224,80 +229,70 @@ class _Bounds:
         self.cover = cover
         self.height = height
         self.width = width
-        self.rows: Optional[_Rows] = None
+        self.selections: dict = {}
+        self.tables: Optional[list] = None
 
 
 class _Rows:
-    """A bound set's members, pulled once and a whole row at a time: row r
-    is member r of every bound that has one, index-major, the order the
-    witness selections take them in, so selection m is the first m rows.
-    ends[r] is where row r ends in members (and idents, their idents).
-    Running maxima over rows 0..r, measured on demand: cover[r] of the
-    arities (None once one has none), and height[r] and width[r] of the
-    heights and index sets, kept only for as long as every member is
-    finitary.  selections holds the selections built so far, by size.
+    """One name's member table: members[r] is its member r (idents[r] that
+    member's ident), pulled once and in order, and read by every bound set
+    that holds the name.  Row r of a bound set is member r of each of its
+    bounds that has one.  Running maxima over members 0..r, measured on
+    demand, since a membership scan reads none: cover[r] of the arities
+    (None once one has none), and height[r] and width[r] of the heights and
+    index sets, kept only for as long as every member is finitary.
 
-    The table of a single name (_own) has one member to a row, and the
-    certificate search reads it too: forms[r] is the largest Cantor normal
-    form among members 0..r, members without one not counted (None while
-    none has one).  Only reach measures it, and it stays None until then,
-    since the engine never reads forms."""
+    The certificate search reads the table too: forms[r] is the largest
+    Cantor normal form among members 0..r, members without one not counted
+    (None while none has one), measured by reach alone: the engine never
+    reads forms."""
 
-    __slots__ = ("members", "idents", "ends", "cover", "height", "width",
-                 "selections", "forms")
+    __slots__ = ("name", "members", "idents", "cover", "height", "width",
+                 "forms")
 
-    def __init__(self):
+    def __init__(self, name: OrdName):
+        self.name = name
         self.members: list = []
         self.idents: list = []
-        self.ends: list = []
         self.cover: list = []
         self.height: list = []
         self.width: list = []
-        self.selections: dict = {}
-        self.forms: Optional[list] = None
+        self.forms: list = []
 
-    def pull(self, bs: tuple) -> None:
-        """Pull the next row.  It is kept only once all of it is pulled, so
-        a member that fails leaves the table as it was."""
-        r = len(self.ends)
-        members, idents = self.members, self.idents
-        start = len(members)
-        try:
-            for b in bs:
-                if b.arity is None or r < b.arity:
-                    m = _child(b, r)
-                    members.append(m)
-                    idents.append(m.ident)
-        except BaseException:
-            del members[start:], idents[start:]
-            raise
-        self.ends.append(len(members))
+    def grow(self, n: int) -> None:
+        """Pull members until the table holds the first n, or all of them
+        when the name has fewer."""
+        if self.name.arity is not None:
+            n = min(n, self.name.arity)
+        for r in range(len(self.members), n):
+            m = child(self.name, r)
+            self.members.append(m)
+            self.idents.append(m.ident)
 
-    def measure(self, bs: tuple, n: int) -> None:
-        """Pull the first n rows and extend the running maxima over them."""
-        while len(self.ends) < n:
-            self.pull(bs)
-        for r in range(len(self.cover), n):
-            row = self.members[self.ends[r - 1] if r else 0:self.ends[r]]
-            cover = self.cover[-1] if r else 0
-            for m in row:
-                if cover is None or m.arity is None:
-                    cover = None
-                    break
-                cover = max(cover, m.arity)
-            self.cover.append(cover)
-            if len(self.height) < r:
-                continue
-            height = self.height[-1] if r else 0
-            width = self.width[-1] if r else 0
-            for m in row:
-                if m.height is None:
-                    break
-                height = max(height, m.height)
-                width = max(width, m.width)
-            else:
-                self.height.append(height)
-                self.width.append(width)
+    def measure(self) -> None:
+        """Extend the running maxima over the members pulled so far."""
+        cover, height, width = self.cover, self.height, self.width
+        for r, m in enumerate(self.members[len(cover):], len(cover)):
+            c = cover[-1] if r else 0
+            cover.append(None if c is None or m.arity is None
+                         else max(c, m.arity))
+            if len(height) == r and m.height is not None:
+                height.append(max(height[-1], m.height) if r else m.height)
+                width.append(max(width[-1], m.width) if r else m.width)
+
+
+def _table(b: OrdName) -> _Rows:
+    """b's member table, made on first use."""
+    t = _tables.get(b.ident)
+    if t is None:
+        t = _tables[b.ident] = _Rows(b)
+    return t
+
+
+def _tables_of(rec: _Bounds) -> list:
+    if rec.tables is None:
+        rec.tables = [_table(b) for b in rec.bs if b.arity != 0]
+    return rec.tables
 
 
 def _distinct(bs: tuple) -> tuple:
@@ -309,8 +304,7 @@ def _distinct(bs: tuple) -> tuple:
 def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     """The record for these bounds, made on first use.  Keyed by ident set,
     so bound tuples that differ only in order or repetition share the first
-    one's table, which holds each bound once: a row has one member per
-    bound."""
+    one's record, which holds each bound once."""
     rec = _sel_cache.get(rhs_key)
     if rec is None:
         if len(rhs_key) < len(bs):
@@ -325,72 +319,79 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     return rec
 
 
-def _own(a: OrdName) -> _Bounds:
-    """The record of the bound set {a}, whose table lists a's members, one
-    to a row."""
-    return _bounds((a,), frozenset((a.ident,)))
+def _pull_rows(tables: list, n: int, ident: Optional[int] = None) -> int:
+    """Grow the tables through the bound set's row n-1, a row at a time and
+    index-major, from the first row that one of them lacks.  Stop after the
+    first row that pulls a member with this ident, and return that row's
+    number, or n when none does."""
+    short = [t for t in tables if len(t.members) < n
+             and (t.name.arity is None or len(t.members) < t.name.arity)]
+    for r in range(min([len(t.members) for t in short], default=n), n):
+        hit = False
+        for t in short:
+            if len(t.members) == r:
+                t.grow(r + 1)
+                hit = hit or t.idents[r:] == [ident]
+        if hit:
+            return r
+    return n
 
 
-def _table(rec: _Bounds) -> _Rows:
-    if rec.rows is None:
-        rec.rows = _Rows()
-    return rec.rows
+def _maxima(tables: list, r: int) -> tuple:
+    """The bound set's running (cover, height, width) at row r, its tables
+    holding that row: the largest of each bound's at row min(r, arity - 1).
+    height is None and width 0 once a member in rows 0..r is not finitary."""
+    cover, height, width = 0, 0, 0
+    for t in tables:
+        t.measure()
+        i = min(r, len(t.members) - 1)
+        c = t.cover[i]
+        cover = None if cover is None or c is None else max(cover, c)
+        if height is not None and i < len(t.height):
+            height = max(height, t.height[i])
+            width = max(width, t.width[i])
+        else:
+            height, width = None, 0
+    return cover, height, width
 
 
 def _selection(rec: _Bounds, m: int):
     """The m-th witness selection for these bounds: each member contributes
     its subordinal prefix of length m (clamped to the member's own arity),
-    that is, the table's first m rows, each name kept once.  Built once per
-    bound set, since every scan against the same bounds retries the same
-    selections; its own record is filed from row m-1's maxima."""
-    rows = _table(rec)
-    hit = rows.selections.get(m)
+    that is, the bound set's first m rows, each name kept once.  Built once
+    per bound set (from selection m-1 when built), since every scan against
+    the same bounds retries the same selections; its own record is filed
+    from the bounds' running maxima at row m-1."""
+    hit = rec.selections.get(m)
     if hit is None:
-        rows.measure(rec.bs, m)
-        end = rows.ends[m - 1]
-        sel = tuple(rows.members[:end])
-        sel_key = frozenset(rows.idents[:end])
-        if len(sel_key) < end:
+        tables = _tables_of(rec)
+        _pull_rows(tables, m)
+        prev = rec.selections.get(m - 1)
+        sel, sel_key = prev or ((), frozenset())
+        rows = [t.members[r] for r in range(m - 1 if prev else 0, m)
+                for t in tables if r < len(t.members)]
+        sel += tuple(rows)
+        sel_key = sel_key.union([x.ident for x in rows])
+        if len(sel_key) < len(sel):
             sel = _distinct(sel)
-        hit = rows.selections[m] = (sel, sel_key)
-        if hit[1] not in _sel_cache:
-            finitary = m <= len(rows.height)
-            _sel_cache[hit[1]] = _Bounds(
-                sel, rows.cover[m - 1],
-                rows.height[m - 1] if finitary else None,
-                rows.width[m - 1] if finitary else 0)
+        hit = rec.selections[m] = (sel, sel_key)
+        if sel_key not in _sel_cache:
+            _sel_cache[sel_key] = _Bounds(sel, *_maxima(tables, m - 1))
     return hit
 
 
 def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     """Is a one of the first top members of some bound, that is, a member of
-    one of the first top selections?  Each bound's members are read from
-    the table of that bound alone, which every bound set holding it shares,
-    so the selections are never built.  Rows are pulled whole and
-    index-major, the order the selections take them in, and none past the
-    first row that holds a.  Such a table has one member to a row, so a
-    member's position is its row."""
+    one of the first top selections?  Read off the bounds' tables without
+    building the selections, pulling rows in the order the selections take
+    them, and none past the first row that holds a."""
     ident = a.ident
-    found = top
-    short = []
-    for b in rec.bs:
-        t = _table(_own(b))
-        idents = t.idents
-        if ident in idents:
-            found = min(found, idents.index(ident))
-        if len(idents) < top and (b.arity is None or len(idents) < b.arity):
-            short.append((b, t))
+    tables = _tables_of(rec)
+    found = min([t.idents.index(ident) for t in tables if ident in t.idents],
+                default=top)
     # pull the rows up to the first that holds a where a table lacks them
     end = min(found + 1, top)
-    for r in range(min([len(t.ends) for _, t in short], default=end), end):
-        for b, t in short:
-            if len(t.ends) == r and (b.arity is None or r < b.arity):
-                t.pull((b,))
-                if t.idents[-1] == ident:
-                    found = r
-        if found == r:
-            return True
-    return found < top
+    return _pull_rows(tables, end, ident) < end or found < top
 
 
 def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
@@ -412,28 +413,40 @@ def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
     return h < rec.height if strict else h <= rec.height
 
 
-def _by_rows(rec: _Bounds, target: int, top: int,
+def _by_rows(tables: list, target: int, top: int,
              width: int) -> Tuple[int, bool]:
-    """Read rec's first top rows, growing the table one row at a time, while
-    every member is finitary and the rows' index sets fit the width: the
-    number n of rows whose running height stays below target, and whether
-    row n reaches it.  No row past that one is pulled.  The selections up
-    to row n are what _by_height would refute against a target-high lhs,
-    and the one ending at row n what it would confirm; (0, False) reads
-    nothing."""
-    rows = _table(rec)
-    heights, widths = rows.height, rows.width
-    # running maxima never fall, so the rows measured so far are searched
-    lim = min(top, len(heights))
-    reach = bisect_left(heights, target, 0, lim)
-    wide = bisect_right(widths, width, 0, lim)
-    if wide < lim or reach < lim:
-        return (wide, False) if wide <= reach else (reach, True)
-    for r in range(lim, top):
-        rows.measure(rec.bs, r + 1)
-        if r == len(heights) or widths[r] > width:
+    """Read a bound set's first top rows off its bounds' tables while every
+    member is finitary and the rows' index sets fit the width: the number n
+    of rows whose running height stays below target, and whether row n
+    reaches it.  The set stops or reaches at the first row where one of its
+    bounds does, so each table's measured rows are bisected; past the rows
+    all tables hold, they grow a row at a time, and none past row n.  The
+    selections up to row n are what _by_height would refute against a
+    target-high lhs, and the one ending at row n what it would confirm."""
+    known, first, reached = top, top, False
+    for t in tables:
+        n = len(t.members)
+        if len(t.cover) < n:
+            t.measure()
+        # running maxima never fall, so the rows measured so far are searched
+        lim = min(top, len(t.height))
+        wide = bisect_right(t.width, width, 0, lim)
+        reach = bisect_left(t.height, target, 0, lim)
+        if reach < wide and reach < first:
+            first, reached = reach, True
+        elif wide <= first and (wide < lim or lim < n):
+            # too wide at row wide, or member lim is not finitary
+            first, reached = wide, False
+        if n < known and (t.name.arity is None or n < t.name.arity):
+            known = n
+    if first < known:
+        return first, reached
+    for r in range(known, top):
+        _pull_rows(tables, r + 1)
+        _, height, wide = _maxima(tables, r)
+        if height is None or wide > width:
             return r, False
-        if heights[r] >= target:
+        if height >= target:
             return r, True
     return top, False
 
@@ -441,35 +454,24 @@ def _by_rows(rec: _Bounds, target: int, top: int,
 def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
     """The index of the first of b's first k members whose Cantor normal
     form is at least h, or None: what a scan of those members from index 0
-    would find, read off b's own member table for the certificate search.
-    The rows whose running largest form is measured are bisected; past
-    them the table grows one row at a time, and no member is pulled past
-    the first that reaches h.  Nothing the engine decides reads forms."""
-    rec = _own(b)
-    rows = _table(rec)
+    would find, read off b's member table for the certificate search.  The
+    rows whose running largest form is measured are bisected; past them the
+    table grows one member at a time, and no member is pulled past the first
+    that reaches h.  Nothing the engine decides reads forms."""
+    rows = _table(b)
     forms = rows.forms
-    if forms is None:
-        forms = rows.forms = []
     if b.arity is not None:
         k = min(k, b.arity)
     cmp = cnf.cmp
     # running maxima never fall, so the rows measured so far are bisected
     n = min(k, len(forms))
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        f = forms[mid]
-        if f is None or cmp(f, h) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(forms, True, 0, n,
+                     key=lambda f: f is not None and cmp(f, h) >= 0)
     if lo < n:
         return lo
-    members = rows.members
     for r in range(len(forms), k):
-        if r == len(rows.ends):
-            rows.pull(rec.bs)
-        f = cnf.of(members[r])
+        rows.grow(r + 1)
+        f = cnf.of(rows.members[r])
         if f is not None and cmp(f, h) >= 0:
             # every form before it is below h, so it is the new maximum
             forms.append(f)
@@ -483,13 +485,9 @@ def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
 
 def members(b: OrdName, k: int) -> list:
     """b's first k members (all of them when it has fewer), read off b's
-    own member table and pulled into it as needed."""
-    rec = _own(b)
-    rows = _table(rec)
-    if b.arity is not None:
-        k = min(k, b.arity)
-    while len(rows.ends) < k:
-        rows.pull(rec.bs)
+    member table and pulled into it as needed."""
+    rows = _table(b)
+    rows.grow(k)
     return rows.members[:k]
 
 
@@ -498,10 +496,10 @@ def _member_refutes(a: OrdName, target: int, n: int, width: int,
     """Is one of a's first n members finitary and at least target high,
     with every member before it finitary, at a fuel where _by_height
     refutes it as strictly below a target-high bound set (depth is the
-    member query's)?  Read off the table of the bound set {a}."""
-    rec = _own(a)
-    k, reached = _by_rows(rec, target, n, width)
-    return reached and depth >= 2 * rec.rows.height[k] + 1
+    member query's)?  Read off a's member table."""
+    t = _table(a)
+    k, reached = _by_rows([t], target, n, width)
+    return reached and depth >= 2 * t.height[k] + 1
 
 
 def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
@@ -539,7 +537,7 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         return FALSE
     pending: Optional[TriBool] = None
     for i in range(n):
-        r = _lt(_child(a, i), bs, rhs_key, width, depth - 1, budget)
+        r = _lt(child(a, i), bs, rhs_key, width, depth - 1, budget)
         if r.is_false:
             _memo[key] = False
             return FALSE
@@ -590,7 +588,7 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # the selections are tried in row order, and each one that the
         # table reads is settled by heights: refuted while it stays below
         # a, confirmed at the first row that reaches a
-        n, reached = _by_rows(rec, a.height, top, width)
+        n, reached = _by_rows(_tables_of(rec), a.height, top, width)
         if reached:
             _memo[key] = True
             return TRUE

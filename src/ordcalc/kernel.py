@@ -905,7 +905,7 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
         if i not in memo:
             # deep premises may need selections about as wide as their index
             # or, for successor stacks such as member i of k+w, as their stack
-            member = a.child(i)
+            member = compare.child(a, i)
             memo[i] = _settle("lt", member, bs, fuel,
                                  max(limit, i + 2, member.stack + 2),
                                  budget - 1, st)
@@ -937,7 +937,7 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     # refutes.  Members beyond the sweep remain the caller's totality
     # obligation, as with any generator handed to le_intro.
     for n in range(limit + 1):
-        member = a.child(n)
+        member = compare.child(a, n)
         if _hints(member, bs) is not None:
             prem(n)
             continue
@@ -959,9 +959,10 @@ def _single(bs: tuple, j: int, i: int) -> tuple:
 def _steered(a: OrdName, bs: tuple, limit: int):
     """For each bound, the single-member selection of its first member
     (among the first limit) whose Cantor normal form reaches a's, when a and
-    that member carry one.  Each bound's running largest form is kept on its
-    member table (compare.reach), so a goal bisects what earlier goals of
-    the search measured instead of rescanning the bound from index 0."""
+    that member carry one.  Each bound's running largest form is kept on
+    its member table, the one the engine reads for that name
+    (compare.reach), so a goal bisects what earlier goals of the search
+    measured instead of rescanning the bound from index 0."""
     ha = cnf.of(a)
     if ha is None:
         return
@@ -977,9 +978,10 @@ def _ranked(a: OrdName, bs: tuple, limit: int):
     goal come first, closest fit leading; too-short ones follow, tallest
     first.  Ties keep generation order: single members (they catch shared
     structure through the identity shortcut), then widening prefixes, whose
-    stacks are running maxima over their rows.  The members are read off
-    each bound's member table (compare.members).  Nothing is ranked until
-    the first is asked for."""
+    stacks are running maxima over their rows (row r holds member r of each
+    bound).  The members are read off each bound's member table, the one
+    the engine reads for that name (compare.members).  Nothing is ranked
+    until the first is asked for."""
     stacks = [[m.stack for m in compare.members(b, limit)] for b in bs]
     arities = [len(column) for column in stacks]
     candidates = []
@@ -1006,12 +1008,9 @@ def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
         raise CertSearchError(f"guidance refutes {a!r} < {list(bs)!r}")
     for sels in chain(_steered(a, bs, limit), _ranked(a, bs, limit)):
         _spend(budget, st)
-        sel_names = _selected(bs, sels)
-        if _guide("le", a, sel_names, fuel).is_false:
-            continue
         try:
-            inner = _settle("le", a, sel_names, fuel, limit, budget - 1,
-                            st)
+            inner = _settle("le", a, _selected(bs, sels), fuel, limit,
+                            budget - 1, st)
         except CertSearchError:
             if st.steps <= 0:
                 raise

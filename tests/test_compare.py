@@ -164,7 +164,7 @@ def _evals_of(rel, a, bs, fuel=Fuel()):
 
 class TestMemberTable:
     """Scans whose selections or members are finitary are read off the
-    bound set's member table: running heights settle them in one eval."""
+    bounds' member tables: running heights settle them in one eval."""
 
     def test_finitary_lhs_is_confirmed_at_the_first_row_that_reaches_it(self):
         v, evals = _evals_of(lt, und(40), (omega(),))
@@ -203,6 +203,30 @@ class TestMemberTable:
         assert lt(und(6), (steady,), Fuel(width=4)).is_true
         assert lt(und(3), (steady,), Fuel(width=2)).is_unknown
 
+    def test_rows_pulled_by_a_membership_scan_are_measured_when_read(self):
+        # the membership scan pulls w's first 64 members and reads no height
+        w = omega()
+        clear_memo()
+        assert lt(arith.add(und(1), w), (w,)).is_unknown
+        before = memo_stats()["evals"]
+        assert lt(und(40), (w,)).is_true
+        assert memo_stats()["evals"] - before == 1
+
+    def test_a_row_too_wide_stops_the_read_where_another_bound_reaches(self):
+        # row 1 holds a member 4 high, enough for a target of 3, and one whose
+        # index set of 4 is wider than a width of 2: that row is not read,
+        # whichever bound comes first and whether the rows are pulled anew
+        # or bisected
+        x = suc_list([und(0), und(0), und(0), und(5)])
+        tall = mk_node(Family.from_generator(lambda i: und(4) if i else und(1)))
+        wide = mk_node(Family.from_generator(lambda i: x if i else ZERO))
+        for bs in ((tall, wide), (wide, tall)):
+            clear_memo()
+            tables = [compare._table(b) for b in bs]
+            for width, read in ((2, (1, False)), (2, (1, False)),
+                                (4, (1, True))):
+                assert compare._by_rows(tables, 3, 8, width) == read
+
     def test_member_as_high_as_finitary_bounds_refutes(self):
         w = omega()
         for rel, bound in ((le, und(9)), (lt, und(10))):
@@ -233,39 +257,63 @@ HEAVY = ({("le", a, "w*2+1") for a in "w*2 w+w w*3 w^2 eps0".split()}
          | {("lt", "w+3", "w*2+1")})
 
 
-def _verdicts(names, decline):
-    """Every le and lt between the names at every fuel, each from an empty
-    memo, with the member-table readers declining or not."""
+# two-name bound sets: a zero bound, finitary bounds, bounds of finite arity
+# whose last member stands in for the rows past it, and bounds with no cover
+TWO_NAME = [tuple(p.split("|")) for p in (
+    "0|w 7|w w|1+w w*2|w+w 3|w+1 w+1|w+3 w|w+2 sup(w,3)|eps0 w^2|eps0 "
+    "w+2|w+w 3|w^w").split()]
+
+
+def _verdicts(names, decline, bound_sets, fuels=FUELS):
+    """Every le and lt of each name against each bound set at each fuel,
+    each from an empty memo, with the member-table readers declining or
+    not."""
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         if decline:
             mp.setattr(compare, "_by_rows", lambda *args: (0, False))
-        for i, fuel in enumerate(FUELS):
+        for fuel in fuels:
             for a in EXPRESSIONS:
-                for b in EXPRESSIONS:
+                for bs in bound_sets:
                     for kind, rel in (("le", le), ("lt", lt)):
-                        if i == 0 and (kind, a, b) in HEAVY:
+                        if fuel == Fuel() and (kind, a) + bs in HEAVY:
                             continue
                         clear_memo()
-                        v = rel(names[a], (names[b],), fuel)
-                        out[(i, a, kind, b)] = (v.value, v.reason)
+                        v = rel(names[a], [names[b] for b in bs], fuel)
+                        out[(fuel, a, kind, bs)] = (v.value, v.reason)
     return out
 
 
-def test_member_table_changes_no_definite_verdict():
-    """The readers give the scan's verdicts: a definite verdict stays, and
-    on these queries no unknown even becomes definite.  An unknown changes
-    its reason only away from steps-exhausted, where the scan spent its
-    budget on selections the table settles at once."""
-    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
-    slow = _verdicts(names, decline=True)
-    quick = _verdicts(names, decline=False)
-    assert len(quick) == 5600 - len(HEAVY) == 5582
+def _agree(slow, quick):
+    """A definite verdict stays, and no unknown becomes definite.  An
+    unknown changes its reason only away from steps-exhausted, where the
+    scan spent its budget on selections the table settles at once."""
+    assert quick.keys() == slow.keys()
     for query, (value, reason) in slow.items():
         now = quick[query]
         assert now[0] is value, (query, (value, reason), now)
         if now[1] != reason:
             assert reason == STEPS_EXHAUSTED, (query, reason, now)
+
+
+def test_member_table_changes_no_definite_verdict():
+    """The readers give the scan's verdicts on one-name bound sets."""
+    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+    bound_sets = [(b,) for b in EXPRESSIONS]
+    slow = _verdicts(names, True, bound_sets)
+    quick = _verdicts(names, False, bound_sets)
+    assert len(quick) == 5600 - len(HEAVY) == 5582
+    _agree(slow, quick)
+
+
+def test_two_name_bound_sets_read_both_tables():
+    """The same on two-name bound sets, whose rows interleave the bounds'
+    tables, at the fuels other than the default."""
+    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+    slow = _verdicts(names, True, TWO_NAME, FUELS[1:])
+    quick = _verdicts(names, False, TWO_NAME, FUELS[1:])
+    assert len(quick) == 6 * 20 * 2 * len(TWO_NAME)
+    _agree(slow, quick)
 
 
 def _scan(b, h, k):
@@ -316,14 +364,14 @@ def test_reach_finds_what_the_linear_scan_finds():
             for h, i in zip(goals, want):
                 clear_memo()
                 assert compare.reach(b, h, k) == i, (label, h, k)
-                rows = len(compare._own(b).rows.ends)
+                rows = len(compare._table(b).members)
                 assert rows <= (k if i is None else i + 1), (label, h, k)
             clear_memo()
             pulled = 0
             for h, i in zip(goals, want):
                 assert compare.reach(b, h, k) == i, (label, h, k)
                 pulled = max(pulled, k if i is None else i + 1)
-                assert len(compare._own(b).rows.ends) <= pulled
+                assert len(compare._table(b).members) <= pulled
 
 
 class TestUnsettledScans:
@@ -367,8 +415,7 @@ class TestUnsettledScans:
 
     def test_repeated_bound_reads_the_bound_alone(self):
         # a bound set is a set: (steady, steady) shares the record of
-        # {steady}, and so the table that membership reads, one member to a
-        # row, where w is member 3
+        # {steady}, and membership reads steady's table, where w is member 3
         w = omega()
         steady = mk_node(Family.from_generator(
             lambda i: und(i) if i < 3 else w))
@@ -427,6 +474,21 @@ class TestFailingGenerator:
         assert lt(und(3), (f,)).is_true
         clear_memo()
         assert le(f, (und(2),)).is_false
+
+    def test_two_bounds_pull_no_row_past_the_one_that_settles(self):
+        # rows are read index-major across both tables: row 3 settles each
+        # query, through the other bound or through f, before f's row 6
+        f = mk_node(Family.from_generator(failing_past_five))
+        double = mk_node(Family.from_generator(lambda i: und(2 * i)))
+        w = omega()
+        steady = mk_node(Family.from_generator(
+            lambda i: und(i) if i < 3 else w))
+        for a, g in ((und(6), double), (und(3), w), (w, steady)):
+            for bs in ((f, g), (g, f)):
+                clear_memo()
+                assert lt(a, bs).is_true
+                assert len(compare._table(f).members) == 4
+                assert len(compare._table(g).members) == 4
 
     def test_table_scan_past_the_failing_row_raises(self):
         f = mk_node(Family.from_generator(failing_past_five))

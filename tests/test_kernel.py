@@ -339,6 +339,21 @@ class TestSearchCost:
         with pytest.raises(compare.EngineError, match="index 6"):
             lt_cert(und(7), (f,))
 
+    def test_lhs_that_fails_at_the_member_needed(self):
+        # the sweep over the lhs's members reaches the one that fails, and
+        # asks the generator for nothing past it
+        asked = []
+
+        def gen(i):
+            asked.append(i)
+            return failing_past_five(i)
+
+        f = mk_node(Family.from_generator(gen))
+        compare.clear_memo()
+        with pytest.raises(compare.EngineError, match="index 6"):
+            le_cert(f, (omega(),))
+        assert max(asked) == 6
+
 
 def _outcome(search, policy):
     """What a search yields: "refused", or whether verify accepts it."""
