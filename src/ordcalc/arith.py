@@ -1,5 +1,9 @@
-"""Ordinal arithmetic on names: sum, indexed sum, product, power, and the
-towered iteration that reaches the first fixed point of exponentiation.
+"""Ordinal arithmetic on names: sum, indexed sum, product, power, and a
+transfinite iteration, acko.
+
+eps0() is acko(w, w, 1).  With g = 1 acko is repeated addition, so eps0()
+denotes w^2, not the first fixed point of exponentiation its name promises;
+ROADMAP.md's item "Make eps0 denote ε0" plans the redefinition.
 
 Each operation follows its defining recursion literally, building suprema of
 pointwise-transformed families.  Results are memoized on operand identity, so
@@ -11,8 +15,7 @@ result's, the hint certificate search steers by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import cnf
 from .names import (Family, Fin, Index, NAT, OrdName, ZERO, map_family,
@@ -64,8 +67,7 @@ class _End:
 END = _End()
 
 
-@dataclass(frozen=True)
-class LinearIndexOrder:
+class LinearIndexOrder(NamedTuple):
     """An index set under the standard order on naturals."""
 
     carrier: Index
@@ -166,7 +168,10 @@ _eps0: Optional[OrdName] = None
 
 
 def eps0() -> OrdName:
-    """Canonical constant: one transfinite iteration step on omega."""
+    """acko(w, w, 1), the sup of its members w*k + n: it denotes w^2.
+
+    acko(a, b, 1) is a*(b+1), so this is not epsilon_0 (ROADMAP.md, "Make
+    eps0 denote ε0")."""
     global _eps0
     if _eps0 is None:
         _eps0 = acko(omega(), omega(), und(1))

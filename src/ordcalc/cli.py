@@ -11,7 +11,7 @@ import sys
 from typing import List, Optional
 
 from . import trees
-from .compare import Fuel, le, lt
+from .compare import TRUE, Fuel, le, lt
 from .expr import (ExprError, kernel_eligible, lower, parse_expr, parse_name,
                    parse_sequent)
 from .kernel import (CertSearchError, KernelError, SpotCheck, le_cert,
@@ -37,7 +37,6 @@ def _upgrade(v, search, a, bs):
     except (CertSearchError, KernelError):
         return v, None
     if verify(cert, _ASSIST).ok:
-        from .compare import TRUE
         return TRUE, cert
     return v, None
 

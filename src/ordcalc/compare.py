@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import cnf
 from .names import OrdName, max_fin_width, structural_depth
@@ -128,8 +127,13 @@ def _unknown(reason: str) -> TriBool:
     return TriBool(None, reason)
 
 
-@dataclass(frozen=True)
-class Fuel:
+class _FuelFields(NamedTuple):
+    width: int = 64
+    depth: int = 512
+    steps: Optional[int] = None
+
+
+class Fuel(_FuelFields):
     """Search budget: width bounds every index enumeration and witness
     prefix, depth bounds recursion.  steps caps the total number of
     subqueries one evaluation may spawn; exhausting it yields Unknown, which
@@ -137,15 +141,15 @@ class Fuel:
     re-explore selections combinatorially) bounded without ever affecting a
     verdict's soundness.  Left unset it is derived from width and depth."""
 
-    width: int = 64
-    depth: int = 512
-    steps: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width < 0 or self.depth < 0:
+    def __new__(cls, width: int = 64, depth: int = 512,
+                steps: Optional[int] = None) -> Fuel:
+        if width < 0 or depth < 0:
             raise ValueError("fuel must be nonnegative")
-        if self.steps is not None and self.steps < 1:
+        if steps is not None and steps < 1:
             raise ValueError("step budget must be positive")
+        return super().__new__(cls, width, depth, steps)
 
     @property
     def step_budget(self) -> int:
@@ -157,19 +161,24 @@ class Fuel:
 DEFAULT_FUEL = Fuel()
 
 
-@dataclass(frozen=True)
-class Judgment:
-    """A comparison claim: kind is "le" or "lt", rhs a nonempty tuple."""
-
+class _JudgmentFields(NamedTuple):
     kind: str
     lhs: OrdName
     rhs: Tuple[OrdName, ...]
 
-    def __post_init__(self):
-        if self.kind not in ("le", "lt"):
-            raise ValueError(f"bad judgment kind {self.kind!r}")
-        if not self.rhs:
+
+class Judgment(_JudgmentFields):
+    """A comparison claim: kind is "le" or "lt", rhs a nonempty tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, lhs: OrdName,
+                rhs: Tuple[OrdName, ...]) -> Judgment:
+        if kind not in ("le", "lt"):
+            raise ValueError(f"bad judgment kind {kind!r}")
+        if not rhs:
             raise ValueError("judgment needs at least one bound")
+        return super().__new__(cls, kind, lhs, rhs)
 
     def __repr__(self) -> str:
         op = "<=" if self.kind == "le" else "<"

@@ -22,8 +22,7 @@ an expression to the ordinal name it denotes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from . import arith
 from .names import OrdName, ZERO, omega, suc_list, sup_finite, und
@@ -37,24 +36,20 @@ class ExprError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str  # "w" | "eps0"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str  # "suc" | "sup" | "ack"
     args: Tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # "+" | "*" | "^"
     lhs: "Expr"
     rhs: "Expr"

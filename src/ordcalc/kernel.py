@@ -26,7 +26,6 @@ make ``verify`` accept a false claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -44,23 +43,38 @@ class CertSearchError(KernelError):
     """Certificate search failed to find a derivation."""
 
 
-@dataclass(frozen=True)
 class Exhaustive:
     """Check every premise; legal only when all branching is finite."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class SpotCheck:
-    """Check generated premises at these sample indices, to this depth."""
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "Exhaustive()"
+
+
+class _SpotCheckFields(NamedTuple):
     samples: Tuple[int, ...] = (0, 1, 2)
     depth: int = 64
 
-    def __post_init__(self):
-        if not self.samples:
+
+class SpotCheck(_SpotCheckFields):
+    """Check generated premises at these sample indices, to this depth."""
+
+    __slots__ = ()
+
+    def __new__(cls, samples: Tuple[int, ...] = (0, 1, 2),
+                depth: int = 64) -> SpotCheck:
+        if not samples:
             raise ValueError("spot check needs at least one sample")
-        if any(s < 0 for s in self.samples):
+        if any(s < 0 for s in samples):
             raise ValueError("sample indices must be nonnegative")
+        return super().__new__(cls, samples, depth)
 
 
 VerifyPolicy = object  # Exhaustive | SpotCheck
@@ -557,11 +571,26 @@ def drop_left(p: Certificate, other: OrdName) -> Certificate:
 # verification
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    visited: int = 0
-    failures: List[Tuple[str, str]] = field(default_factory=list)
+    __slots__ = ("ok", "visited", "failures")
+
+    def __init__(self, ok: bool, visited: int = 0,
+                 failures: Optional[List[Tuple[str, str]]] = None):
+        self.ok = ok
+        self.visited = visited
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ok, self.visited, self.failures)
+                == (other.ok, other.visited, other.failures))
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return (f"VerifyReport(ok={self.ok!r}, visited={self.visited!r},"
+                f" failures={self.failures!r})")
 
     def fail(self, path: str, reason: str) -> None:
         self.ok = False

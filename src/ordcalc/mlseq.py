@@ -12,7 +12,12 @@ Zero has no subordinals, so R2 gives every sequent containing 0 <= b outright.
 closure that tracks the minimal derivable sequents; side contexts make
 derivability upward closed, so tracking minima loses nothing.  The closure
 is a semi-naive worklist: each new sequent meets the known ones once,
-through an index from atom to the minimal sequents holding it.  Certificates
+through an index from atom to the minimal sequents holding it.  It is
+goal-directed: both rules carry every non-principal atom of a premise into
+the conclusion, so only sequents whose atoms can each be rewritten into a
+goal atom can lead to the goal, and the closure applies no rule to any
+other (the magic-sets restriction of a bottom-up closure to what can reach
+the query, Bancilhon, Maier, Sagiv & Ullman, 1986).  Certificates
 mirror the two rules.  They are comparison-kernel certificates with a
 sequent as conclusion, built and checked by the kernel's code: R2 shares
 le_intro's one premise per subordinal (generator-backed below a naturally
@@ -22,9 +27,9 @@ walker run over a two-entry rule table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Callable, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from .kernel import (Certificate, Exhaustive, KernelError, Rule, VerifyReport,
                      check_derivation, subordinal_arity, subordinal_premises)
@@ -32,15 +37,19 @@ from .names import (BitSeq, Index, OrdName, ZERO, eps_lpo, structural_depth,
                     und)
 
 
-@dataclass(frozen=True)
-class Atom:
+class _AtomFields(NamedTuple):
     lhs: OrdName
     rel: str  # "lt" | "le"
     rhs: OrdName
 
-    def __post_init__(self):
-        if self.rel not in ("lt", "le"):
-            raise ValueError(f"bad atom relation {self.rel!r}")
+
+class Atom(_AtomFields):
+    __slots__ = ()
+
+    def __new__(cls, lhs: OrdName, rel: str, rhs: OrdName) -> Atom:
+        if rel not in ("lt", "le"):
+            raise ValueError(f"bad atom relation {rel!r}")
+        return super().__new__(cls, lhs, rel, rhs)
 
     def __repr__(self) -> str:
         op = "<" if self.rel == "lt" else "<="
@@ -92,6 +101,17 @@ def ml_derivable(goal: Sequent) -> bool:
     rewrites one of its non-strict atoms; R2 puts it in one subordinal slot
     and fills the others from the index.  Atoms are coded as ints over the
     universe.  The universe is finite, so the closure terminates.
+
+    Only sequents of *useful* atoms, those some chain of rewrites turns into
+    a goal atom, are popped for the rules: read backwards, R1 makes x <= c
+    useful for x < w and each child c of w, and R2 makes c < y useful for
+    x <= y and each child c of x.  Both rules carry every non-principal atom
+    of a premise into the conclusion, so a sequent holding a useless atom
+    derives only sequents that hold one, none of them a subset of the goal.
+    Skipping them loses no derivation of the goal, and a goal with no useful
+    seed is refused without applying a rule.  A useless sequent is still
+    kept once pushed, where it subsumes only useless sequents and fills R2
+    slots only in useless conclusions.
     """
     goal = sequent(goal)
     names = _universe(goal)
@@ -109,6 +129,20 @@ def ml_derivable(goal: Sequent) -> bool:
             parents.setdefault(c, []).append((w, i))
     target = frozenset(code(pos[a.lhs.ident], pos[a.rhs.ident], a.rel == "lt")
                        for a in goal)
+
+    useful = set(target)
+    todo = list(target)
+    while todo:
+        atom = todo.pop()
+        x, y = divmod(atom >> 1, size)
+        if atom & 1:  # R1 backwards: x < y comes from x <= c, c a child of y
+            more = [code(x, c, 0) for c in kids.get(y, ())]
+        else:  # R2 backwards: x <= y comes from c < y, c each child of x
+            more = [code(c, y, 1) for c in kids.get(x, ())]
+        for a in more:
+            if a not in useful:
+                useful.add(a)
+                todo.append(a)
 
     index: dict = {}  # atom -> the minimal sequents containing it
     live: set = set()
@@ -132,7 +166,7 @@ def ml_derivable(goal: Sequent) -> bool:
 
     while queue:
         s = queue.pop()
-        if s not in live:
+        if s not in live or not s <= useful:
             continue
         if s <= target:
             return True

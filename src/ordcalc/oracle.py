@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .names import Fin, OrdName, ZERO, omega, suc_list
 
@@ -87,8 +86,7 @@ def clear_oracle_memo() -> None:
     _val_cache.clear()
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(NamedTuple):
     """Shape controls for random name generation."""
 
     max_depth: int = 3

@@ -1,10 +1,11 @@
 """The two-rule sequent calculus: derivability, certificates, divergence."""
 
 import random
+from itertools import product
 
 import pytest
 
-from ordcalc import compare
+from ordcalc import compare, mlseq
 from ordcalc.kernel import Exhaustive, KernelError, SpotCheck
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_derivable, ml_le_refl_cert,
                            ml_r1, ml_verify, sequent)
@@ -14,6 +15,25 @@ from ordcalc.oracle import gen_finitary, val
 
 def _names(count, salt=0):
     return [gen_finitary(i + salt) for i in range(count)]
+
+
+def _holds_by_one_atom(rng, goals, depth, names, atoms):
+    # soundness, and single-atom completeness under a side context: a
+    # sequent is derivable exactly when one of its atoms is true
+    falses = 0
+    for _ in range(goals):
+        pool = [gen_finitary(rng.randrange(2 ** 32), max_depth=depth,
+                             max_width=3)
+                for _ in range(rng.randint(*names))] + [ZERO]
+        goal = [Atom(rng.choice(pool), rng.choice(("lt", "le")),
+                     rng.choice(pool)) for _ in range(rng.randint(*atoms))]
+        want = any(
+            val(a.lhs) < val(a.rhs) if a.rel == "lt" else
+            val(a.lhs) <= val(a.rhs)
+            for a in goal)
+        falses += not want
+        assert ml_derivable(sequent(goal)) == want, goal
+    assert falses >= 20
 
 
 class TestDerivability:
@@ -53,22 +73,30 @@ class TestDerivability:
             sequent([])
 
     def test_multi_atom_sequents_hold_by_one_atom(self):
-        # soundness, and single-atom completeness under a side context:
-        # a sequent is derivable exactly when one of its atoms is true
-        rng = random.Random(41)
-        falses = 0
-        for _ in range(150):
-            pool = [gen_finitary(rng.randrange(2 ** 32), max_depth=3,
-                                 max_width=3) for _ in range(3)] + [ZERO]
-            atoms = [Atom(rng.choice(pool), rng.choice(("lt", "le")),
-                          rng.choice(pool)) for _ in range(rng.randint(2, 4))]
-            want = any(
-                val(a.lhs) < val(a.rhs) if a.rel == "lt" else
-                val(a.lhs) <= val(a.rhs)
-                for a in atoms)
-            falses += not want
-            assert ml_derivable(sequent(atoms)) == want, atoms
-        assert falses >= 20
+        _holds_by_one_atom(random.Random(41), 150, depth=3, names=(3, 3),
+                           atoms=(2, 4))
+
+    def test_workload_shaped_sequents_hold_by_one_atom(self):
+        # the sequent workload's shape: depth-4, width-3 names, 1-3 atoms
+        _holds_by_one_atom(random.Random(90_417), 300, depth=4, names=(1, 3),
+                           atoms=(1, 3))
+
+    def test_goal_with_no_useful_seed_is_refused_unsaturated(self, monkeypatch):
+        # b < 0 rewrites into nothing, so no zero seed {0 <= c} is useful and
+        # no rule is ever tried; b <= b still needs R2
+        b = gen_finitary(7, max_depth=5, max_width=3)
+        r2_steps = []
+
+        def counting_product(*slots):
+            r2_steps.append(len(slots))
+            return product(*slots)
+
+        monkeypatch.setattr(mlseq, "product", counting_product)
+        assert ml_derivable(sequent([Atom(_B, "lt", ZERO)])) is False
+        assert ml_derivable(sequent([Atom(b, "lt", ZERO)])) is False
+        assert r2_steps == []
+        assert ml_derivable(sequent([Atom(b, "le", b)])) is True
+        assert r2_steps
 
 
 _A = und(2)
