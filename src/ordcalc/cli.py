@@ -27,13 +27,13 @@ def _show(v) -> str:
     return {True: "true", False: "false", None: "unknown"}[v.value]
 
 
-def _upgrade(v, search, a, bs):
+def _upgrade(v, search, x, y):
     """Replace an unknown engine verdict by true when a certificate for the
-    judgment is found and survives verification."""
+    judgment x against [y] is found and survives verification."""
     if v.value is not None:
         return v, None
     try:
-        cert = search(a, bs)
+        cert = search(x, (y,))
     except (CertSearchError, KernelError):
         return v, None
     if verify(cert, _ASSIST).ok:
@@ -47,27 +47,25 @@ def cmd_cmp(args) -> int:
     a = lower(ea)
     b = lower(eb)
     fuel = Fuel(width=args.width, depth=args.depth)
-    vle = le(a, (b,), fuel)
-    vge = le(b, (a,), fuel)
-    vlt = lt(a, (b,), fuel)
-    vgt = lt(b, (a,), fuel)
+    # each label's certificate search and its operands, lhs then the bound
+    claims = {"le": (le_cert, a, b), "ge": (le_cert, b, a),
+              "lt": (lt_cert, a, b), "gt": (lt_cert, b, a)}
+    vs = {"le": le(a, (b,), fuel), "ge": le(b, (a,), fuel),
+          "lt": lt(a, (b,), fuel), "gt": lt(b, (a,), fuel)}
     certs = {}
     # The search only escalates on shapes it is known to settle; outside
     # that fragment the engine's verdict stands.
     if args.kernel and kernel_eligible(ea) and kernel_eligible(eb):
-        vle, certs["le"] = _upgrade(vle, le_cert, a, (b,))
-        vge, certs["ge"] = _upgrade(vge, le_cert, b, (a,))
-        vlt, certs["lt"] = _upgrade(vlt, lt_cert, a, (b,))
-        vgt, certs["gt"] = _upgrade(vgt, lt_cert, b, (a,))
-    veq = vle.and_(vge)
-    for label, v in (("le", vle), ("ge", vge), ("lt", vlt), ("gt", vgt),
-                     ("eq", veq)):
+        for label, claim in claims.items():
+            vs[label], certs[label] = _upgrade(vs[label], *claim)
+    vs["eq"] = vs["le"].and_(vs["ge"])
+    for label, v in vs.items():
         print(f"{label} {_show(v)}")
-    if vlt.value:
+    if vs["lt"].value:
         verdict = "lt"
-    elif vgt.value:
+    elif vs["gt"].value:
         verdict = "gt"
-    elif veq.value:
+    elif vs["eq"].value:
         verdict = "eq"
     else:
         verdict = "unknown"
@@ -82,14 +80,8 @@ def cmd_cmp(args) -> int:
                           ("gt",) if verdict == "gt" else ("le", "ge")):
                 cert = certs.get(label)
                 if cert is None:
-                    if label == "lt":
-                        cert = lt_cert(a, (b,))
-                    elif label == "gt":
-                        cert = lt_cert(b, (a,))
-                    elif label == "le":
-                        cert = le_cert(a, (b,))
-                    else:
-                        cert = le_cert(b, (a,))
+                    search, x, y = claims[label]
+                    cert = search(x, (y,))
                 print(f"cert {label}")
                 print(serialize(cert))
         except (CertSearchError, KernelError) as e:

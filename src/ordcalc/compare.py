@@ -32,8 +32,8 @@ a < bs is true at the first selection that reaches a's height and false when
 the covering one stays below it; a <= bs with finitary bounds is false at
 the first member of a as high as they are.  Each such scan costs one step
 instead of one per selection or member.  The certificate search reads the
-tables too, for members and their running largest Cantor normal form
-(``reach`` and ``members``); no verdict reads a form.
+tables too, for the running largest Cantor normal form of a name's members
+(``reach``); no verdict reads a form.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -490,14 +490,6 @@ def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
             top = f
         forms.append(top)
     return None
-
-
-def members(b: OrdName, k: int) -> list:
-    """b's first k members (all of them when it has fewer), read off b's
-    member table and pulled into it as needed."""
-    rows = _table(b)
-    rows.grow(k)
-    return rows.members[:k]
 
 
 def _member_refutes(a: OrdName, target: int, n: int, width: int,

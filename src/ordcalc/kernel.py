@@ -16,21 +16,22 @@ Each rule is one entry of a rule table read by a single walker,
 over a table of its own.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
-certificate that is then checked like any other.  Where the names carry a
-Cantor normal form (``cnf``), comparing the forms steers the search; where
-one does not, the bounded comparison engine is probed instead.  A hint, like
-a probe, only prunes, refuses or orders the steps tried: every step is still
-built as a derivation, so a wrong hint can make a search fail but cannot
-make ``verify`` accept a false claim.
+certificate that is then checked like any other.  Their only guide is the
+Cantor normal form names carry (``cnf``): the forms pick the selections to
+try and refuse goals they refute, and a missing form gives no opinion.  The
+search asks the comparison engine for no verdict.  A hint only prunes,
+refuses or picks the steps tried: every step is still built as a
+derivation, so a wrong hint can make a search fail but cannot make
+``verify`` accept a false claim.
 """
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cnf, compare
-from .compare import FALSE, TRUE, Fuel, Judgment, TriBool
+from .compare import Judgment
 from .names import (Family, Fin, NAT, Index, OrdName, ZERO, _mask_bits,
                     filtering, suc, sup_decomposition, sup_finite, sup_order)
 
@@ -787,12 +788,6 @@ def _gen_probe(gen: Callable[[int], Certificate], samples) -> None:
         gen(s)
 
 
-# Engine guidance during search only prunes and ranks candidates, so it runs
-# on deliberately small fuel; the certificate that comes out is checked by
-# verify like any other.  The step cap is tight because an unknown that
-# takes long to report starves the search worse than a missed pruning.
-SEARCH_FUEL = Fuel(width=16, depth=128, steps=2_000)
-
 # search nodes one le_cert/lt_cert call may expand before giving up
 SEARCH_STEPS = 6_000
 
@@ -833,28 +828,27 @@ def _memo_fail(st: _SearchState, key: tuple, limit: int) -> None:
     st.memo[key] = ("fail", max(prev, limit))
 
 
-def le_cert(a: OrdName, bs, fuel: Fuel = SEARCH_FUEL, limit: int = 48,
-            budget: int = 256, steps: int = SEARCH_STEPS) -> Certificate:
-    """Search for a certificate of a <= bs, steered by CNF hints or the
-    engine.
+def le_cert(a: OrdName, bs, limit: int = 48, budget: int = 256,
+            steps: int = SEARCH_STEPS) -> Certificate:
+    """Search for a certificate of a <= bs, steered by Cantor normal forms.
 
     limit caps selection sizes (scaled up for deep premises), budget the
     recursion depth, steps the total nodes expanded.  The result carries no
     authority of its own; verify it."""
-    return _search("le", a, bs, fuel, limit, budget, steps)
+    return _search("le", a, bs, limit, budget, steps)
 
 
-def lt_cert(a: OrdName, bs, fuel: Fuel = SEARCH_FUEL, limit: int = 48,
-            budget: int = 256, steps: int = SEARCH_STEPS) -> Certificate:
+def lt_cert(a: OrdName, bs, limit: int = 48, budget: int = 256,
+            steps: int = SEARCH_STEPS) -> Certificate:
     """Search for a certificate of a < bs."""
-    return _search("lt", a, bs, fuel, limit, budget, steps)
+    return _search("lt", a, bs, limit, budget, steps)
 
 
-def _search(kind: str, a: OrdName, bs, fuel: Fuel, limit: int, budget: int,
+def _search(kind: str, a: OrdName, bs, limit: int, budget: int,
             steps: int) -> Certificate:
     st = _SearchState(steps)
     try:
-        return _settle(kind, a, _rhs(bs), fuel, limit, budget, st)
+        return _settle(kind, a, _rhs(bs), limit, budget, st)
     finally:
         # Generated premises close over st, so a memo that outlived the
         # search would tie found certificates into reference cycles.
@@ -868,13 +862,13 @@ def _spend(budget: int, st: _SearchState) -> None:
     st.steps -= 1
 
 
-def _settle(kind: str, a: OrdName, bs: tuple, fuel: Fuel, limit: int,
-            budget: int, st: _SearchState) -> Certificate:
+def _settle(kind: str, a: OrdName, bs: tuple, limit: int, budget: int,
+            st: _SearchState) -> Certificate:
     """Certificate of a <= bs or a < bs (kind "le" or "lt"), memoized in
     st: found certificates, and failures with the selection limit tried.
     A goal posed after st's search returned is a search of its own."""
     if st.done:
-        return _search(kind, a, bs, fuel, limit, budget, st.start)
+        return _search(kind, a, bs, limit, budget, st.start)
     key = (kind, a.ident, tuple(sorted(b.ident for b in bs)))
     hit = _memo_get(st, key, limit)
     if hit is not None:
@@ -884,7 +878,7 @@ def _settle(kind: str, a: OrdName, bs: tuple, fuel: Fuel, limit: int,
         return hit
     body = _le_body if kind == "le" else _lt_body
     try:
-        cert = body(a, bs, fuel, limit, budget, st)
+        cert = body(a, bs, limit, budget, st)
     except CertSearchError:
         # budget- or step-starved failures are circumstance, not verdict
         if st.steps > 0 and budget > 0:
@@ -894,33 +888,22 @@ def _settle(kind: str, a: OrdName, bs: tuple, fuel: Fuel, limit: int,
     return cert
 
 
-def _hints(a: OrdName, bs: tuple) -> Optional[Tuple[tuple, tuple]]:
-    """The Cantor normal forms of a and of the largest bound, or None unless
-    a and every bound carry one."""
+def _refuted(kind: str, a: OrdName, bs: tuple) -> bool:
+    """Do the Cantor normal forms refute a <= bs or a < bs (kind "le" or
+    "lt")?  Only when a and every bound carry one: a missing form gives no
+    opinion.  The answer only refuses; it confirms nothing."""
     ha = cnf.of(a)
-    if ha is None:
-        return None
     hbs = [cnf.of(b) for b in bs]
-    if None in hbs:
-        return None
-    return ha, cnf.top(hbs)
+    if ha is None or None in hbs:
+        return False
+    order = cnf.cmp(ha, cnf.top(hbs))
+    return order > 0 or order == 0 and kind == "lt"
 
 
-def _guide(kind: str, a: OrdName, bs: tuple, fuel: Fuel) -> TriBool:
-    """Whether a <= bs or a < bs (kind "le" or "lt") looks worth a search:
-    by the names' Cantor normal forms when a and every bound carry one,
-    else by the engine at fuel.  The answer only prunes and refuses."""
-    h = _hints(a, bs)
-    if h is None:
-        return (compare.le if kind == "le" else compare.lt)(a, bs, fuel)
-    order = cnf.cmp(*h)
-    return TRUE if (order < 0 or order == 0 and kind == "le") else FALSE
-
-
-def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
+def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
              st: _SearchState) -> Certificate:
     _spend(budget, st)
-    if _guide("le", a, bs, fuel).is_false:
+    if _refuted("le", a, bs):
         raise CertSearchError(f"guidance refutes {a!r} <= {list(bs)!r}")
     if a.is_zero:
         return zero_le(bs)
@@ -935,9 +918,9 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
             # deep premises may need selections about as wide as their index
             # or, for successor stacks such as member i of k+w, as their stack
             member = compare.child(a, i)
-            memo[i] = _settle("lt", member, bs, fuel,
-                                 max(limit, i + 2, member.stack + 2),
-                                 budget - 1, st)
+            memo[i] = _settle("lt", member, bs,
+                              max(limit, i + 2, member.stack + 2),
+                              budget - 1, st)
         return memo[i]
 
     if isinstance(a.index, Fin):
@@ -945,10 +928,10 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
             prem(i) for i in range(a.index.size)))
     cf = a.family.const_from
     if cf is None and all(b.is_finitary for b in bs):
-        # Against purely finitary bounds a naturally indexed family either
-        # gets refuted by the engine or needs a totality argument the
-        # sampled premise checks cannot supply; guessing a generator here
-        # can smuggle in a premise that fails beyond the samples.
+        # Against purely finitary bounds a naturally indexed family needs a
+        # totality argument the sampled premise checks cannot supply;
+        # guessing a generator here can smuggle in a premise that fails
+        # beyond the samples.
         raise CertSearchError(
             f"no finite evidence that every member of {a!r} stays below"
             " finitary bounds")
@@ -959,24 +942,11 @@ def _le_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
         return le_intro(a, bs, gen=prem)
     # Sweep the whole index range the selections can reach.  Families need
     # not enumerate their members in increasing size, so spot probes are
-    # not enough: every member the engine cannot confirm below the bounds
-    # must yield a premise certificate now, and a refuted member sinks the
-    # family.  A hint confirms nothing, so a hinted member always yields
-    # its premise, whose search asks the hint first and refuses what it
-    # refutes.  Members beyond the sweep remain the caller's totality
+    # not enough: every swept member yields its premise now, whose search
+    # refuses what the forms refute, and a member with no premise sinks the
+    # family.  Members beyond the sweep remain the caller's totality
     # obligation, as with any generator handed to le_intro.
-    for n in range(limit + 1):
-        member = compare.child(a, n)
-        if _hints(member, bs) is not None:
-            prem(n)
-            continue
-        verdict = compare.lt(member, bs, fuel)
-        if verdict.is_false:
-            raise CertSearchError(
-                f"member {n} of {a!r} is not below {list(bs)!r}")
-        if not verdict.is_true:
-            prem(n)
-    _gen_probe(prem, (0, 1, 2))
+    _gen_probe(prem, range(max(limit, 2) + 1))
     return le_intro(a, bs, gen=prem)
 
 
@@ -1001,45 +971,16 @@ def _steered(a: OrdName, bs: tuple, limit: int):
             yield _single(bs, j, i)
 
 
-def _ranked(a: OrdName, bs: tuple, limit: int):
-    """Selection tuples to try, ranked by successor stack, the tallest stack
-    among the members a selection takes: selections at least as tall as the
-    goal come first, closest fit leading; too-short ones follow, tallest
-    first.  Ties keep generation order: single members (they catch shared
-    structure through the identity shortcut), then widening prefixes, whose
-    stacks are running maxima over their rows (row r holds member r of each
-    bound).  The members are read off each bound's member table, the one
-    the engine reads for that name (compare.members).  Nothing is ranked
-    until the first is asked for."""
-    stacks = [[m.stack for m in compare.members(b, limit)] for b in bs]
-    arities = [len(column) for column in stacks]
-    candidates = []
-    for j, column in enumerate(stacks):
-        for i, dm in enumerate(column):
-            candidates.append((_single(bs, j, i), dm))
-    dm = -1
-    for m in range(1, max(arities, default=0) + 1):
-        dm = max([dm] + [c[m - 1] for c in stacks if m <= len(c)])
-        candidates.append((tuple(tuple(range(min(m, k))) for k in arities),
-                           dm))
-    da = a.stack
-    rank: dict = {}
-    for order, (sels, dm) in enumerate(candidates):
-        if sels not in rank and any(sels):
-            rank[sels] = (0, dm, order) if dm >= da else (1, -dm, order)
-    yield from sorted(rank, key=rank.get)
-
-
-def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
+def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
              st: _SearchState) -> Certificate:
     _spend(budget, st)
-    if _guide("lt", a, bs, fuel).is_false:
+    if _refuted("lt", a, bs):
         raise CertSearchError(f"guidance refutes {a!r} < {list(bs)!r}")
-    for sels in chain(_steered(a, bs, limit), _ranked(a, bs, limit)):
+    for sels in _steered(a, bs, limit):
         _spend(budget, st)
         try:
-            inner = _settle("le", a, _selected(bs, sels), fuel, limit,
-                            budget - 1, st)
+            inner = _settle("le", a, _selected(bs, sels), limit, budget - 1,
+                            st)
         except CertSearchError:
             if st.steps <= 0:
                 raise
@@ -1048,15 +989,13 @@ def _lt_body(a: OrdName, bs: tuple, fuel: Fuel, limit: int, budget: int,
     raise CertSearchError(f"no selection bounds {a!r} within {list(bs)!r}")
 
 
-def eq_certs(a: OrdName, b: OrdName, fuel: Fuel = SEARCH_FUEL,
+def eq_certs(a: OrdName, b: OrdName,
              limit: int = 48) -> Tuple[Certificate, Certificate]:
     """Certificates for both directions of a = b."""
-    return le_cert(a, (b,), fuel, limit), le_cert(b, (a,), fuel, limit)
+    return le_cert(a, (b,), limit), le_cert(b, (a,), limit)
 
 
-def filtering_eq_certs(alpha: OrdName,
-                       fuel: Fuel = SEARCH_FUEL) -> Tuple[Certificate,
-                                                          Certificate]:
+def filtering_eq_certs(alpha: OrdName) -> Tuple[Certificate, Certificate]:
     """Certificates that alpha and filtering(alpha) name the same ordinal.
 
     The generic searchers cannot find these: the subset enumerated at
@@ -1075,14 +1014,13 @@ def filtering_eq_certs(alpha: OrdName,
         pos = 2 ** i - 1
         target = beta.child(pos)
         inner = refl(x) if target.ident == x.ident else \
-            le_cert(x, (target,), fuel)
+            le_cert(x, (target,))
         return lt_intro_sel(x, (beta,), ((pos,),), inner)
 
     def back(n: int) -> Certificate:
         top = max(_mask_bits(n + 1))
         sel = tuple(range(top + 1))
-        inner = le_cert(beta.child(n), tuple(alpha.child(j) for j in sel),
-                        fuel)
+        inner = le_cert(beta.child(n), tuple(alpha.child(j) for j in sel))
         return lt_intro_sel(beta.child(n), (alpha,), (sel,), inner)
 
     if size is not None:

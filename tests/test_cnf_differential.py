@@ -5,7 +5,8 @@ has its own parser and shares no code with ordcalc.  Every definite ``le`` and
 ``lt`` the engine gives at default fuel, from an empty memo, must agree with
 it, and the table's count of definite answers is pinned.  The Cantor normal
 forms names record as search hints (``ordcalc.cnf``) are held to the same
-referee on the same table.
+referee on the same table, and so is every certificate the search finds
+between the table's names that carry a form.
 """
 
 import os
@@ -14,6 +15,7 @@ import sys
 from ordcalc import cnf
 from ordcalc.compare import clear_memo, le, lt
 from ordcalc.expr import lower, parse_expr
+from ordcalc.kernel import CertSearchError, SpotCheck, le_cert, lt_cert, verify
 from ordcalc.names import NAT
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -37,6 +39,10 @@ PAIRS = [
 # definite answers among the table's 100 queries; an engine change must not
 # lower the count, and one that raises it raises this pin
 DEFINITE = 26
+
+# claims certified among the 800 searches over the table's names with a
+# form; a search change must not lose one, and one that gains one raises it
+CERTIFIED = 400
 
 
 def _queries():
@@ -77,3 +83,26 @@ def test_recorded_forms_agree_with_cnf():
                 below = cnf.of(name.child(i))
                 assert below is not None and cnf.cmp(below, form) < 0, (
                     f"member {i} of {text}")
+
+
+def test_certified_claims_agree_with_cnf():
+    texts = sorted({t for pair in PAIRS for t in pair} - {"eps0"})
+    spot = SpotCheck((0, 1, 2, 5))
+    certified = 0
+    for a in texts:
+        for b in texts:
+            for kind, search in (("le", le_cert), ("lt", lt_cert)):
+                clear_memo()
+                lhs, rhs = _name(a), _name(b)
+                try:
+                    cert = search(lhs, (rhs,))
+                except CertSearchError:
+                    continue
+                if not verify(cert, spot).ok:
+                    continue
+                certified += 1
+                c = cert.conclusion
+                assert (c.kind, c.lhs, c.rhs) == (kind, lhs, (rhs,))
+                assert checks.holds(kind, a, b), f"{a} {kind} {b}"
+    assert len(texts) == 20
+    assert certified == CERTIFIED

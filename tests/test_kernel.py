@@ -3,7 +3,7 @@
 import pytest
 
 from ordcalc import cnf, compare
-from ordcalc.arith import add, mul, pow
+from ordcalc.arith import acko, add, eps0, mul, pow
 from ordcalc.compare import Fuel, Judgment
 from ordcalc.kernel import (Certificate, CertSearchError, Exhaustive,
                             KernelError, SpotCheck, contract, cut_left,
@@ -306,6 +306,41 @@ class TestSearch:
             lt_cert(w2, (wpw,))
         with pytest.raises(CertSearchError):
             lt_cert(wpw, (w2,))
+
+
+class TestFormOnlySearch:
+    """Cantor normal forms are the search's only guide: a missing form gives
+    no opinion, and the engine is asked for no verdict."""
+
+    @pytest.mark.parametrize("bound", [
+        pow(omega(), und(2)), eps0()], ids=["w^2", "eps0"])
+    def test_refuses_ack_below_what_it_equals(self, bound):
+        # ack(w,2,2) has no form but denotes w^2, as eps0 does today, so
+        # neither strict claim holds
+        a = acko(omega(), und(2), und(2))
+        assert _outcome(lambda: lt_cert(a, (bound,)),
+                        SpotCheck((0, 1, 2, 5))) == "refused"
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search asked the engine for a verdict")
+
+        for rel in ("le", "lt"):
+            monkeypatch.setattr(compare, rel, refuse)
+
+    def test_filtering_below_original_without_the_engine(self, no_engine):
+        assert ok(le_cert(filtering(omega()), (omega(),)), SPOT)
+
+    def test_product_equals_sum_without_the_engine(self, no_engine):
+        fwd, back = eq_certs(mul(omega(), und(2)), add(omega(), omega()))
+        assert ok(fwd, SPOT) and ok(back, SPOT)
+
+    def test_bad_member_inside_the_sweep_without_the_engine(self, no_engine):
+        fam = Family.from_generator(
+            lambda n: suc(omega()) if n == 22 else und(1))
+        with pytest.raises(CertSearchError):
+            le_cert(mk_node(fam), (omega(),))
 
 
 class TestSearchCost:
