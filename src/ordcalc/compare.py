@@ -22,16 +22,17 @@ answers width-truncated at once instead of spending its budget; a < bs is
 then true only when a is one of the bounds' first members, which it tests
 directly.
 
-On finitary names both relations come down to comparing tree heights.  When
-the fuel would carry the recursion to a verdict anyway, the engine reads it
-off the heights in one step instead.  The same holds one level up: when a
-scan's selections or members are finitary, the engine reads them off member
-tables, one per name, holding its members with their running largest height
-and index set; row r of a bound set is member r of each bound.  A finitary
-a < bs is true at the first selection that reaches a's height and false when
-the covering one stays below it; a <= bs with finitary bounds is false at
-the first member of a as high as they are.  Each such scan costs one step
-instead of one per selection or member.  The certificate search reads the
+On finitary names both relations come down to comparing tree heights, so
+the engine reads a finitary verdict off the heights in one step at any fuel
+that allows a step: the fuel bounds scans, not what heights settle.  The
+same holds one level up: when a scan's selections or members are finitary,
+the engine reads them off member tables, one per name, holding its members
+with their running largest height; row r of a bound set is member r of each
+bound.  A finitary a < bs is true at the first selection that reaches a's
+height and false when the covering one stays below it; a <= bs with
+finitary bounds is false at the first member of a as high as they are.
+Each such scan costs one step instead of one per selection or member, and
+reads no row past the scan's width.  The certificate search reads the
 tables too, for the running largest Cantor normal form of a name's members
 (``reach``); no verdict reads a form.
 
@@ -43,7 +44,7 @@ a prefix covering it works too.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -223,21 +224,20 @@ def _rhs_key(bs: tuple) -> frozenset:
 
 class _Bounds:
     """What the engine reuses about one bound set: the covering selection
-    size, and, when every bound is finitary, the bounds' largest height and
-    largest index set.  A cover of None (some bound has no finite arity)
-    means no selection is largest, so nothing is refuted against these
-    bounds, and a query that only a refutation could settle is unknown at
-    every budget.  selections holds the witness selections built so far,
-    by size, and tables the bounds' member tables once first read."""
+    size, and, when every bound is finitary, the bounds' largest height.  A
+    cover of None (some bound has no finite arity) means no selection is
+    largest, so nothing is refuted against these bounds, and a query that
+    only a refutation could settle is unknown at every budget.  selections
+    holds the witness selections built so far, by size, and tables the
+    bounds' member tables once first read."""
 
-    __slots__ = ("bs", "cover", "height", "width", "selections", "tables")
+    __slots__ = ("bs", "cover", "height", "selections", "tables")
 
     def __init__(self, bs: tuple, cover: Optional[int],
-                 height: Optional[int], width: int):
+                 height: Optional[int]):
         self.bs = bs
         self.cover = cover
         self.height = height
-        self.width = width
         self.selections: dict = {}
         self.tables: Optional[list] = None
 
@@ -248,16 +248,15 @@ class _Rows:
     that holds the name.  Row r of a bound set is member r of each of its
     bounds that has one.  Running maxima over members 0..r, measured on
     demand, since a membership scan reads none: cover[r] of the arities
-    (None once one has none), and height[r] and width[r] of the heights and
-    index sets, kept only for as long as every member is finitary.
+    (None once one has none), and height[r] of the heights, kept only for
+    as long as every member is finitary.
 
     The certificate search reads the table too: forms[r] is the largest
     Cantor normal form among members 0..r, members without one not counted
     (None while none has one), measured by reach alone: the engine never
     reads forms."""
 
-    __slots__ = ("name", "members", "idents", "cover", "height", "width",
-                 "forms")
+    __slots__ = ("name", "members", "idents", "cover", "height", "forms")
 
     def __init__(self, name: OrdName):
         self.name = name
@@ -265,7 +264,6 @@ class _Rows:
         self.idents: list = []
         self.cover: list = []
         self.height: list = []
-        self.width: list = []
         self.forms: list = []
 
     def grow(self, n: int) -> None:
@@ -280,14 +278,13 @@ class _Rows:
 
     def measure(self) -> None:
         """Extend the running maxima over the members pulled so far."""
-        cover, height, width = self.cover, self.height, self.width
+        cover, height = self.cover, self.height
         for r, m in enumerate(self.members[len(cover):], len(cover)):
             c = cover[-1] if r else 0
             cover.append(None if c is None or m.arity is None
                          else max(c, m.arity))
             if len(height) == r and m.height is not None:
                 height.append(max(height[-1], m.height) if r else m.height)
-                width.append(max(width[-1], m.width) if r else m.width)
 
 
 def _table(b: OrdName) -> _Rows:
@@ -320,11 +317,9 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
             bs = _distinct(bs)
         arities = [b.arity for b in bs]
         heights = [b.height for b in bs]
-        finitary = None not in heights
         rec = _sel_cache[rhs_key] = _Bounds(
             bs, None if None in arities else max(arities),
-            max(heights) if finitary else None,
-            max(b.width for b in bs) if finitary else 0)
+            None if None in heights else max(heights))
     return rec
 
 
@@ -347,21 +342,18 @@ def _pull_rows(tables: list, n: int, ident: Optional[int] = None) -> int:
 
 
 def _maxima(tables: list, r: int) -> tuple:
-    """The bound set's running (cover, height, width) at row r, its tables
-    holding that row: the largest of each bound's at row min(r, arity - 1).
-    height is None and width 0 once a member in rows 0..r is not finitary."""
-    cover, height, width = 0, 0, 0
+    """The bound set's running (cover, height) at row r, its tables holding
+    that row: the largest of each bound's at row min(r, arity - 1).  height
+    is None once a member in rows 0..r is not finitary."""
+    cover, height = 0, 0
     for t in tables:
         t.measure()
         i = min(r, len(t.members) - 1)
         c = t.cover[i]
         cover = None if cover is None or c is None else max(cover, c)
-        if height is not None and i < len(t.height):
-            height = max(height, t.height[i])
-            width = max(width, t.width[i])
-        else:
-            height, width = None, 0
-    return cover, height, width
+        height = (max(height, t.height[i])
+                  if height is not None and i < len(t.height) else None)
+    return cover, height
 
 
 def _selection(rec: _Bounds, m: int):
@@ -403,35 +395,25 @@ def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     return _pull_rows(tables, end, ident) < end or found < top
 
 
-def _by_height(a: OrdName, rec: _Bounds, width: int, depth: int,
-               strict: bool) -> Optional[bool]:
+def _by_height(a: OrdName, rec: _Bounds, strict: bool) -> Optional[bool]:
     """The verdict on finitary a against these bounds, read off the tree
-    heights, or None when a bound is not finitary or the fuel would not
-    carry the recursion to a verdict.  On finitary names a <= bs exactly
-    when a is no taller than the tallest bound, and a < bs when it is
-    shorter.  The recursion descends a's tree twice per level (le, then lt)
-    and scans every index set below a and the bounds; declining when fuel
-    falls short of that keeps the verdicts short fuel has always given."""
+    heights, or None when a bound is not finitary.  On finitary names
+    a <= bs exactly when a is no taller than the tallest bound, and a < bs
+    when it is shorter, whatever the fuel."""
     if rec.height is None:
         return None
-    h = a.height
-    if depth < 2 * h + strict:
-        return None
-    if width < rec.width or width < a.width:
-        return None
-    return h < rec.height if strict else h <= rec.height
+    return a.height < rec.height if strict else a.height <= rec.height
 
 
-def _by_rows(tables: list, target: int, top: int,
-             width: int) -> Tuple[int, bool]:
+def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
     """Read a bound set's first top rows off its bounds' tables while every
-    member is finitary and the rows' index sets fit the width: the number n
-    of rows whose running height stays below target, and whether row n
-    reaches it.  The set stops or reaches at the first row where one of its
-    bounds does, so each table's measured rows are bisected; past the rows
-    all tables hold, they grow a row at a time, and none past row n.  The
-    selections up to row n are what _by_height would refute against a
-    target-high lhs, and the one ending at row n what it would confirm."""
+    member is finitary: the number n of rows whose running height stays
+    below target, and whether row n reaches it.  The set stops or reaches
+    at the first row where one of its bounds does, so each table's measured
+    rows are bisected; past the rows all tables hold, they grow a row at a
+    time, and none past row n.  The selections up to row n are what
+    _by_height would refute against a target-high lhs, and the one ending
+    at row n what it would confirm."""
     known, first, reached = top, top, False
     for t in tables:
         n = len(t.members)
@@ -439,21 +421,20 @@ def _by_rows(tables: list, target: int, top: int,
             t.measure()
         # running maxima never fall, so the rows measured so far are searched
         lim = min(top, len(t.height))
-        wide = bisect_right(t.width, width, 0, lim)
         reach = bisect_left(t.height, target, 0, lim)
-        if reach < wide and reach < first:
+        if reach < lim and reach < first:
             first, reached = reach, True
-        elif wide <= first and (wide < lim or lim < n):
-            # too wide at row wide, or member lim is not finitary
-            first, reached = wide, False
+        elif lim <= first and lim < n:
+            # member lim is not finitary
+            first, reached = lim, False
         if n < known and (t.name.arity is None or n < t.name.arity):
             known = n
     if first < known:
         return first, reached
     for r in range(known, top):
         _pull_rows(tables, r + 1)
-        _, height, wide = _maxima(tables, r)
-        if height is None or wide > width:
+        _, height = _maxima(tables, r)
+        if height is None:
             return r, False
         if height >= target:
             return r, True
@@ -492,17 +473,6 @@ def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
     return None
 
 
-def _member_refutes(a: OrdName, target: int, n: int, width: int,
-                    depth: int) -> bool:
-    """Is one of a's first n members finitary and at least target high,
-    with every member before it finitary, at a fuel where _by_height
-    refutes it as strictly below a target-high bound set (depth is the
-    member query's)?  Read off a's member table."""
-    t = _table(a)
-    k, reached = _by_rows([t], target, n, width)
-    return reached and depth >= 2 * t.height[k] + 1
-
-
 def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         budget: list) -> TriBool:
     if a.is_zero or a.ident in rhs_key:
@@ -520,7 +490,7 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     _stats["evals"] += 1
     rec = _bounds(bs, rhs_key)
     if a.is_finitary:
-        quick = _by_height(a, rec, width, depth, False)
+        quick = _by_height(a, rec, False)
         if quick is not None:
             _memo[key] = quick
             return TRUE if quick else FALSE
@@ -531,8 +501,8 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     # the scan exhausts a's subordinals only when its arity fits the width
     exhausted = a.arity is not None and a.arity <= width
     n = a.arity if exhausted else width
-    if (a.height is None and rec.height is not None and rec.width <= width
-            and _member_refutes(a, rec.height, n, width, depth - 1)):
+    if (a.height is None and rec.height is not None
+            and _by_rows([_table(a)], rec.height, n)[1]):
         # finitary bounds: a member as high as they are is not below them
         _memo[key] = False
         return FALSE
@@ -567,7 +537,7 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     _stats["evals"] += 1
     rec = _bounds(bs, rhs_key)
     if a.is_finitary:
-        quick = _by_height(a, rec, width, depth, True)
+        quick = _by_height(a, rec, True)
         if quick is not None:
             _memo[key] = quick
             return TRUE if quick else FALSE
@@ -585,11 +555,11 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         return _unknown(WIDTH_TRUNCATED)
     top = width if cover is None else min(width, cover)
     start = 1
-    if a.is_finitary and depth - 1 >= 2 * a.height and width >= a.width:
+    if a.is_finitary:
         # the selections are tried in row order, and each one that the
         # table reads is settled by heights: refuted while it stays below
         # a, confirmed at the first row that reaches a
-        n, reached = _by_rows(_tables_of(rec), a.height, top, width)
+        n, reached = _by_rows(_tables_of(rec), a.height, top)
         if reached:
             _memo[key] = True
             return TRUE
@@ -599,11 +569,11 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
                 return FALSE
             return _unknown(WIDTH_TRUNCATED)
         start = n + 1
-    elif a.height is None and rec.height is not None and rec.width <= width:
-        # finitary bounds whose cover fits the width: a member of a as high
-        # as the covering selection refutes it, and with it every selection
+    elif a.height is None and rec.height is not None:
+        # finitary bounds: a member of a as high as the covering selection
+        # refutes it, and with it every selection
         n = a.arity if a.arity is not None and a.arity <= width else width
-        if _member_refutes(a, rec.height - 1, n, width, depth - 2):
+        if _by_rows([_table(a)], rec.height - 1, n)[1]:
             _memo[key] = False
             return FALSE
     covering: Optional[TriBool] = None
@@ -666,10 +636,13 @@ class Ordering(Enum):
 
 
 def finitary_fuel(*names: OrdName) -> Fuel:
-    """Fuel provably sufficient for definite verdicts on these finitary
-    names: width covers every index set, depth the interleaved descent.
-    The step allowance is deliberately generous; definite verdicts stop as
-    soon as they are reached, so it is an emergency brake, not a cost."""
+    """Fuel at which even the recursion, with the height readers set aside,
+    reaches a definite verdict on these finitary names: width covers every
+    index set, depth the interleaved descent.  With the readers, heights
+    settle such queries in one step at any fuel, so this is the budget of
+    the recursive reference path.  The step allowance is deliberately
+    generous; definite verdicts stop as soon as they are reached, so it is
+    an emergency brake, not a cost."""
     w = max([1] + [max_fin_width(n) for n in names])
     d = 2 * sum(structural_depth(n) for n in names) + 8
     return Fuel(width=w, depth=d, steps=2_000_000)

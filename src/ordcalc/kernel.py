@@ -794,10 +794,11 @@ SEARCH_STEPS = 6_000
 
 class _SearchState:
     """Bookkeeping shared across one le_cert/lt_cert invocation: the step
-    counter and a memo of settled subproblems.  Identical subgoals recur
-    heavily (sibling candidates peel the same spines), so both found
-    certificates and naturally failed goals are cached.  start is the
-    call's step allowance; done marks a search that has returned."""
+    counter and a memo from each goal to the certificate found for it.
+    Identical subgoals recur heavily (sibling candidates peel the same
+    spines), so found certificates are reused; a failed goal is searched
+    again when it recurs.  start is the call's step allowance; done marks a
+    search that has returned."""
 
     __slots__ = ("steps", "memo", "start", "done")
 
@@ -805,27 +806,6 @@ class _SearchState:
         self.steps = self.start = steps
         self.memo: dict = {}
         self.done = False
-
-
-_DEAD_END = object()
-
-
-def _memo_get(st: _SearchState, key: tuple, limit: int):
-    entry = st.memo.get(key)
-    if entry is None:
-        return None
-    if entry[0] == "ok":
-        return entry[1]
-    # a failure with at least as many candidates available covers this query
-    return _DEAD_END if entry[1] >= limit else None
-
-
-def _memo_fail(st: _SearchState, key: tuple, limit: int) -> None:
-    entry = st.memo.get(key)
-    if entry is not None and entry[0] == "ok":
-        return
-    prev = entry[1] if entry is not None else -1
-    st.memo[key] = ("fail", max(prev, limit))
 
 
 def le_cert(a: OrdName, bs, limit: int = 48, budget: int = 256,
@@ -865,26 +845,15 @@ def _spend(budget: int, st: _SearchState) -> None:
 def _settle(kind: str, a: OrdName, bs: tuple, limit: int, budget: int,
             st: _SearchState) -> Certificate:
     """Certificate of a <= bs or a < bs (kind "le" or "lt"), memoized in
-    st: found certificates, and failures with the selection limit tried.
-    A goal posed after st's search returned is a search of its own."""
+    st once found.  A goal posed after st's search returned is a search of
+    its own."""
     if st.done:
         return _search(kind, a, bs, limit, budget, st.start)
     key = (kind, a.ident, tuple(sorted(b.ident for b in bs)))
-    hit = _memo_get(st, key, limit)
-    if hit is not None:
-        if hit is _DEAD_END:
-            op = "<=" if kind == "le" else "<"
-            raise CertSearchError(f"known dead end: {a!r} {op} {list(bs)!r}")
-        return hit
-    body = _le_body if kind == "le" else _lt_body
-    try:
-        cert = body(a, bs, limit, budget, st)
-    except CertSearchError:
-        # budget- or step-starved failures are circumstance, not verdict
-        if st.steps > 0 and budget > 0:
-            _memo_fail(st, key, limit)
-        raise
-    st.memo[key] = ("ok", cert)
+    cert = st.memo.get(key)
+    if cert is None:
+        body = _le_body if kind == "le" else _lt_body
+        cert = st.memo[key] = body(a, bs, limit, budget, st)
     return cert
 
 

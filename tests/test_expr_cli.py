@@ -22,6 +22,7 @@ GOLDEN_CASES = {
     "cmp_w_1pw.txt": (["cmp", "w", "1+w"], 3),
     "cmp_w_1pw_kernel.txt": (["cmp", "w", "1+w", "--kernel"], 0),
     "cmp_1_2_emit.txt": (["cmp", "1", "2", "--emit-cert"], 0),
+    "cmp_300_301.txt": (["cmp", "300", "301"], 0),
     "tree_3.txt": (["tree", "3", "--mu-bound", "4"], 0),
     "tree_w.txt": (["tree", "w", "--mu-bound", "3"], 0),
     "demo_lpo_opaque.txt": (["demo", "lpo", "--prefix", "001",

@@ -298,6 +298,17 @@ class TestSearch:
         w = omega()
         assert ok(lt_cert(mul(pow(w, und(2)), und(2)), (pow(w, w),)), SPOT)
 
+    def test_eventually_constant_family_is_probed_at_its_constant_point(self):
+        # four's members are 0, 1, 2, 3, 3, ...: the search builds the
+        # premises at the start and at the constant point, and the
+        # certificate generates the rest
+        four = mk_node(Family.from_generator(und, const_from=3))
+        cert = le_cert(four, (und(4),))
+        assert cert.generated
+        assert ok(cert, SpotCheck((0, 1, 2, 3, 9)))
+        with pytest.raises(CertSearchError):
+            le_cert(four, (und(3),))
+
     def test_strict_product_identities_refused(self):
         # the two names are equal, so neither strict direction can hold
         w2 = mul(omega(), und(2))
@@ -451,6 +462,16 @@ class TestSerialize:
         assert lines[0].startswith("0: ")
         assert any("le_intro" in line for line in lines)
         assert text.endswith("\n")
+
+    def test_shared_premise_is_listed_once(self):
+        # both members of suc(1, 1) rest on the one certificate of 1 <= 1
+        text = serialize(refl(suc_list([und(1), und(1)])))
+        assert text == ("0: le_intro(0 <= 0){}\n"
+                        "1: lt_intro(0 < 1 sel 0){0}\n"
+                        "2: le_intro(1 <= 1){1}\n"
+                        "3: lt_intro(1 < suc(1, 1) sel 0){2}\n"
+                        "4: lt_intro(1 < suc(1, 1) sel 1){2}\n"
+                        "5: le_intro(suc(1, 1) <= suc(1, 1)){3,4}\n")
 
     def test_generator_certificates_rejected(self):
         with pytest.raises(KernelError):
