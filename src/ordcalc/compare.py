@@ -11,8 +11,9 @@ comes only from fully exhausted index sets or an explicit witness, False only
 from a counterexample or an exhausted witness space.  Every budget truncation
 yields Unknown, tagged with what ran out; once the step budget is spent, that
 reason is reported over any width or depth truncation met on the way.
-Definite verdicts are monotone in the fuel and are cached; Unknown is never
-cached.
+Definite verdicts are monotone in the fuel.  Those a scan reaches are
+cached; those read off heights (below) are not, since reading the heights
+again costs no more than a lookup; Unknown is never cached.
 
 An Unknown can also mean that no scan at any budget settles the question.
 a <= bs is confirmed only by exhausting a's subordinals, which needs a finite
@@ -24,17 +25,18 @@ directly.
 
 On finitary names both relations come down to comparing tree heights, so
 the engine reads a finitary verdict off the heights in one step at any fuel
-that allows a step: the fuel bounds scans, not what heights settle.  The
-same holds one level up: when a scan's selections or members are finitary,
-the engine reads them off member tables, one per name, holding its members
-with their running largest height; row r of a bound set is member r of each
-bound.  A finitary a < bs is true at the first selection that reaches a's
-height and false when the covering one stays below it; a <= bs with
-finitary bounds is false at the first member of a as high as they are.
-Each such scan costs one step instead of one per selection or member, and
-reads no row past the scan's width.  The certificate search reads the
-tables too, for the running largest Cantor normal form of a name's members
-(``reach``); no verdict reads a form.
+that allows a step, storing no memo entry and no bound record: the fuel
+bounds scans, not what heights settle.  The same holds one level up: when a
+scan's selections or members are finitary, the engine reads them off member
+tables, one per name, holding its members with their running largest
+height; row r of a bound set is member r of each bound.  A finitary
+a < bs is true at the first selection that reaches a's height and false
+when the covering one stays below it; a <= bs with finitary bounds is false
+at the first member of a as high as they are.  Each such scan costs one
+step instead of one per selection or member, and reads no row past the
+scan's width.  The certificate search reads the tables too, for the running
+largest Cantor normal form of a name's members (``reach``); no verdict
+reads a form.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -395,14 +397,39 @@ def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     return _pull_rows(tables, end, ident) < end or found < top
 
 
-def _by_height(a: OrdName, rec: _Bounds, strict: bool) -> Optional[bool]:
+def _by_height(a: OrdName, bs: tuple, rhs_key: frozenset,
+               strict: bool) -> Optional[bool]:
     """The verdict on finitary a against these bounds, read off the tree
     heights, or None when a bound is not finitary.  On finitary names
     a <= bs exactly when a is no taller than the tallest bound, and a < bs
-    when it is shorter, whatever the fuel."""
-    if rec.height is None:
-        return None
-    return a.height < rec.height if strict else a.height <= rec.height
+    when it is shorter, whatever the fuel.  The bounds' height is their
+    record's when one was made, else read off the bounds, making none."""
+    rec = _sel_cache.get(rhs_key)
+    if rec is not None:
+        top = rec.height
+        if top is None:
+            return None
+    else:
+        top = 0
+        for b in bs:
+            h = b.height
+            if h is None:
+                return None
+            if h > top:
+                top = h
+    return a.height < top if strict else a.height <= top
+
+
+def _read(quick: bool, depth: int, budget: list) -> TriBool:
+    """A height read's verdict, at the cost of one step like any eval, and
+    not memoized."""
+    if depth == 0:
+        return _unknown(DEPTH_EXHAUSTED)
+    if budget[0] <= 0:
+        return _unknown(STEPS_EXHAUSTED)
+    budget[0] -= 1
+    _stats["evals"] += 1
+    return TRUE if quick else FALSE
 
 
 def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
@@ -410,10 +437,10 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
     member is finitary: the number n of rows whose running height stays
     below target, and whether row n reaches it.  The set stops or reaches
     at the first row where one of its bounds does, so each table's measured
-    rows are bisected; past the rows all tables hold, they grow a row at a
-    time, and none past row n.  The selections up to row n are what
-    _by_height would refute against a target-high lhs, and the one ending
-    at row n what it would confirm."""
+    rows are bisected; past the rows all tables hold, the tables that lack
+    a row grow by it, a row at a time, and none past row n.  The selections
+    up to row n are what _by_height would refute against a target-high
+    lhs, and the one ending at row n what it would confirm."""
     known, first, reached = top, top, False
     for t in tables:
         n = len(t.members)
@@ -431,13 +458,32 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
             known = n
     if first < known:
         return first, reached
-    for r in range(known, top):
-        _pull_rows(tables, r + 1)
-        _, height = _maxima(tables, r)
-        if height is None:
+    # every row a table holds is settled above, so from row known on a row
+    # is read only in the tables that lack it, each new member measured
+    # once, and a table with no more members is dropped
+    def more(t: _Rows) -> bool:
+        return t.name.arity is None or len(t.members) < t.name.arity
+
+    live = [t for t in tables if more(t)]
+    for r in range(known, min(first + 1, top)):
+        stop = hit = done = False
+        for t in live:
+            if len(t.members) == r:
+                t.grow(r + 1)
+                t.measure()
+                if len(t.height) == r:
+                    stop = True
+                elif t.height[r] >= target:
+                    hit = True
+                done = done or not more(t)
+        if stop:
             return r, False
-        if height >= target:
+        if r == first:
+            return first, reached
+        if hit:
             return r, True
+        if done:
+            live = [t for t in live if more(t)]
     return top, False
 
 
@@ -477,6 +523,10 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         budget: list) -> TriBool:
     if a.is_zero or a.ident in rhs_key:
         return TRUE
+    if a.height is not None:
+        quick = _by_height(a, bs, rhs_key, False)
+        if quick is not None:
+            return _read(quick, depth, budget)
     key = ("le", a.ident, rhs_key)
     hit = _memo.get(key)
     if hit is not None:
@@ -489,11 +539,6 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     budget[0] -= 1
     _stats["evals"] += 1
     rec = _bounds(bs, rhs_key)
-    if a.is_finitary:
-        quick = _by_height(a, rec, False)
-        if quick is not None:
-            _memo[key] = quick
-            return TRUE if quick else FALSE
     if a.arity is None and rec.cover is None:
         # True needs a's subordinals exhausted, so a finite arity; False
         # needs an _lt refutation, so a cover.  No scan can settle this.
@@ -524,6 +569,10 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
 
 def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         budget: list) -> TriBool:
+    if a.height is not None:
+        quick = _by_height(a, bs, rhs_key, True)
+        if quick is not None:
+            return _read(quick, depth, budget)
     key = ("lt", a.ident, rhs_key)
     hit = _memo.get(key)
     if hit is not None:
@@ -536,11 +585,6 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     budget[0] -= 1
     _stats["evals"] += 1
     rec = _bounds(bs, rhs_key)
-    if a.is_finitary:
-        quick = _by_height(a, rec, True)
-        if quick is not None:
-            _memo[key] = quick
-            return TRUE if quick else FALSE
     cover = rec.cover
     if cover == 0:
         _memo[key] = False
@@ -639,10 +683,11 @@ def finitary_fuel(*names: OrdName) -> Fuel:
     """Fuel at which even the recursion, with the height readers set aside,
     reaches a definite verdict on these finitary names: width covers every
     index set, depth the interleaved descent.  With the readers, heights
-    settle such queries in one step at any fuel, so this is the budget of
-    the recursive reference path.  The step allowance is deliberately
-    generous; definite verdicts stop as soon as they are reached, so it is
-    an emergency brake, not a cost."""
+    settle such queries in one step at any fuel, so nothing in the engine,
+    the law battery or cmp_finitary asks for it: it is the budget of the
+    recursive reference path that tests compare against.  The step
+    allowance is deliberately generous; definite verdicts stop as soon as
+    they are reached, so it is an emergency brake, not a cost."""
     w = max([1] + [max_fin_width(n) for n in names])
     d = 2 * sum(structural_depth(n) for n in names) + 8
     return Fuel(width=w, depth=d, steps=2_000_000)
@@ -652,9 +697,8 @@ def cmp_finitary(a: OrdName, b: OrdName) -> Ordering:
     """Total comparison on finitary names."""
     if not (a.is_finitary and b.is_finitary):
         raise ValueError("cmp_finitary is only total on finitary names")
-    fuel = finitary_fuel(a, b)
-    ab = le(a, (b,), fuel)
-    ba = le(b, (a,), fuel)
+    ab = le(a, (b,))
+    ba = le(b, (a,))
     if ab.is_unknown or ba.is_unknown:
         raise RuntimeError("engine failed to decide a finitary comparison")
     if ab.is_true and ba.is_true:

@@ -276,7 +276,7 @@ def mk_zero() -> OrdName:
 
 
 def _node_fin(children: tuple) -> OrdName:
-    key = tuple(c.ident for c in children)
+    key = tuple([c.ident for c in children])
     hit = _intern.get(key)
     if hit is None:
         hit = _intern[key] = Node(Family(Fin(len(children)), children, None,

@@ -12,7 +12,7 @@ import itertools
 import random
 from typing import NamedTuple, Sequence
 
-from .names import Fin, OrdName, ZERO, omega, suc_list
+from .names import Fin, OrdName, ZERO, _node_fin, omega
 
 _val_cache: dict = {}
 
@@ -105,15 +105,18 @@ def gen_name(params: GenParams) -> OrdName:
     omega_probability a leaf position is replaced by a canonical naturally
     indexed constant."""
     rng = random.Random(params.seed)
+    # bound once; randrange(1, w + 1) draws exactly what randint(1, w) does
+    draw, randrange = rng.random, rng.randrange
     limits = _canonical_limits() if params.omega_probability > 0 else ()
+    p, top = params.omega_probability, params.max_width + 1
 
     def go(depth: int) -> OrdName:
-        if limits and rng.random() < params.omega_probability:
+        if limits and draw() < p:
             return rng.choice(limits)
-        if depth == 0 or rng.random() < 0.3:
+        if depth == 0 or draw() < 0.3:
             return ZERO
-        width = rng.randint(1, params.max_width)
-        return suc_list([go(depth - 1) for _ in range(width)])
+        return _node_fin(tuple([go(depth - 1)
+                                for _ in range(randrange(1, top))]))
 
     return go(params.max_depth)
 

@@ -124,16 +124,28 @@ class TestHeightShortcut:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(compare, "_by_height", lambda *args: None)
             slow = (le(a, bs, fuel).value, lt(a, bs, fuel).value)
+            # the declined seam really sends a fixed deep pair past the
+            # height read, which would answer in one eval and store no memo
+            # entry: le recurses into the members, and lt reads the bound's
+            # member table, which memoizes its verdict
+            deep, six = suc_list([und(2), und(4)]), und(6)
+            fuel6 = finitary_fuel(deep, six)
+            v, evals = _evals_of(le, deep, (six,), fuel6)
+            assert v.is_true and evals > 1
+            v, evals = _evals_of(lt, deep, (six,), fuel6)
+            assert v.is_true and memo_stats()["entries"] == 1
         assert slow == quick == (h <= top, h < top)
 
-    def test_shortcut_is_one_memoized_eval(self):
+    def test_shortcut_is_one_eval_and_no_record(self):
+        # a height read costs one eval each time, stores no memo entry and
+        # files no bound record
         clear_memo()
         a = suc_list([und(2), und(4)])
         bs = (und(6), und(1))
-        assert lt(a, bs, finitary_fuel(a, *bs)).is_true
-        assert memo_stats() == {"evals": 1, "hits": 0, "entries": 1}
-        assert lt(a, bs, finitary_fuel(a, *bs)).is_true
-        assert memo_stats() == {"evals": 1, "hits": 1, "entries": 1}
+        for n in (1, 2):
+            assert lt(a, bs).is_true
+            assert memo_stats() == {"evals": n, "hits": 0, "entries": 0}
+            assert not compare._sel_cache
 
     def test_deep_chains_at_default_fuel(self):
         for n in range(25002):
@@ -230,6 +242,24 @@ class TestMemberTable:
             for target, read in ((3, (1, False)), (3, (1, False)),
                                  (1, (0, True))):
                 assert compare._by_rows(tables, target, 8) == read
+
+    def test_rows_past_the_held_ones_are_read_once_each(self):
+        # 300 against the selections of w^w's members reads rows that no
+        # table holds yet; each is measured in the table that grows, not
+        # in every table of the set again
+        calls = [0]
+        measure = compare._Rows.measure
+
+        def counted(rows):
+            calls[0] += 1
+            measure(rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compare._Rows, "measure", counted)
+            v, evals = _evals_of(lt, und(300), (lower(parse_expr("w^w")),),
+                                 Fuel(steps=300))
+        assert (v.value, v.reason, evals) == (None, STEPS_EXHAUSTED, 300)
+        assert calls[0] <= 5_000
 
     def test_member_as_high_as_finitary_bounds_refutes(self):
         w = omega()
@@ -512,14 +542,19 @@ class TestFailingGenerator:
 
 class TestMemo:
     def test_second_run_reuses_verdicts(self):
+        # height reads are not memoized, so the memo is shown on scans of
+        # infinitary names, whose settled subqueries it keeps
         clear_memo()
-        queries = seeded_pairs(30, salt=77)
-        for a, b in queries:
-            cmp_finitary(a, b)
+        w = omega()
+        queries = [(le, arith.add(w, und(1)), arith.add(w, und(2))),
+                   (le, arith.add(und(2), w), arith.add(w, und(1))),
+                   (lt, w, arith.add(w, und(1)))]
+        before = [rel(a, (b,)).value for rel, a, b in queries]
         first = memo_stats()["evals"]
-        for a, b in queries:
-            cmp_finitary(a, b)
+        after = [rel(a, (b,)).value for rel, a, b in queries]
         second = memo_stats()["evals"] - first
+        assert after == before
+        assert memo_stats()["hits"] > 0
         assert second < first
 
     def test_clear_resets_counters(self):
