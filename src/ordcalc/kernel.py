@@ -33,7 +33,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 from . import cnf, compare
 from .compare import Judgment
 from .names import (Family, Fin, NAT, Index, OrdName, ZERO, _mask_bits,
-                    filtering, suc, sup_decomposition, sup_finite, sup_order)
+                    filtering, fin, suc, sup_decomposition, sup_finite,
+                    sup_order)
 
 
 class KernelError(Exception):
@@ -486,7 +487,7 @@ def lt_suc_of_le(p: Certificate) -> Certificate:
 def le_of_lt_suc(p: Certificate) -> Certificate:
     """From a < [suc b] conclude a <= [b]."""
     c = _expect(p, "lt", "premise")
-    if len(c.rhs) != 1 or c.rhs[0].index != Fin(1):
+    if len(c.rhs) != 1 or c.rhs[0].index != fin(1):
         raise KernelError("bound must be a single unary node")
     b = c.rhs[0].child(0)
     return _chain(_lt_parts(p)[1], _refls((b,)), (b,))
@@ -501,7 +502,7 @@ def suc_le_of_lt(p: Certificate) -> Certificate:
 def lt_of_suc_le(p: Certificate) -> Certificate:
     """From suc b <= [a] conclude b < [a]."""
     c = _expect(p, "le", "premise")
-    if c.lhs.index != Fin(1):
+    if c.lhs.index != fin(1):
         raise KernelError("lhs must be a unary node")
     return _chain(_le_premise(p, 0), _refls(c.rhs), c.rhs)
 
@@ -895,7 +896,7 @@ def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
     if isinstance(a.index, Fin):
         return le_intro(a, bs, premises=tuple(
             prem(i) for i in range(a.index.size)))
-    cf = a.family.const_from
+    cf = None if a.arity is None else a.arity - 1
     if cf is None and all(b.is_finitary for b in bs):
         # Against purely finitary bounds a naturally indexed family needs a
         # totality argument the sampled premise checks cannot supply;

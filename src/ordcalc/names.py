@@ -53,6 +53,18 @@ class Fin:
         return f"Fin({self.size})"
 
 
+# One Fin per size, shared by every node and by zero as their index.
+_fins: dict = {}
+
+
+def fin(size: int) -> Fin:
+    """The shared Fin(size)."""
+    hit = _fins.get(size)
+    if hit is None:
+        hit = _fins[size] = Fin(size)
+    return hit
+
+
 class _NatIndex:
     """The index set of all naturals."""
 
@@ -91,7 +103,8 @@ class Family:
     same index return the same object.  ``const_from`` marks a family whose
     members stabilize: for i >= const_from, at(i) returns at(const_from)
     itself.  The wrapper enforces this, which is what lets bounded search
-    treat such a family as exhaustible.
+    treat such a family as exhaustible.  Only naturally indexed families
+    draw an ``ident`` (shown by repr); a finite one's is None.
     """
 
     __slots__ = ("index", "ident", "const_from", "_children", "_gen", "_cache")
@@ -100,11 +113,14 @@ class Family:
                  gen: Optional[Callable[[int], "OrdName"]],
                  const_from: Optional[int]):
         self.index = index
-        self.ident = _fresh_ident()
         self.const_from = const_from
         self._children = children
         self._gen = gen
-        self._cache: dict = {}
+        if children is None:
+            self.ident = _fresh_ident()
+            self._cache: Optional[dict] = {}
+        else:
+            self.ident = self._cache = None
 
     @staticmethod
     def from_children(children: Sequence["OrdName"]) -> "Family":
@@ -112,7 +128,7 @@ class Family:
         for c in children:
             if not isinstance(c, OrdName):
                 raise TypeError(f"family member is not a name: {c!r}")
-        return Family(Fin(len(children)), children, None, None)
+        return Family(fin(len(children)), children, None, None)
 
     @staticmethod
     def from_generator(gen: Callable[[int], "OrdName"],
@@ -137,6 +153,8 @@ class Family:
         return hit
 
     def __repr__(self) -> str:
+        if self.ident is None:
+            return f"<family {self.index!r}>"
         return f"<family {self.index!r} #{self.ident}>"
 
 
@@ -165,8 +183,10 @@ class OrdName:
     """Base class: either the zero name or a node over a family.
 
     A name's shape is fixed when it is built, from its family and the names
-    built before it, and is recorded in five slots:
+    built before it, and is recorded in six slots:
 
+    - ``index``: its index set, the shared ``fin(k)`` over k members (zero
+      is over ``fin(0)``) or NAT;
     - ``arity``: how many subordinals cover it: k over Fin(k), c + 1 over a
       family constant from c, None over any other natural family, 0 for zero;
     - ``height``: on a finitary name its tree height, else None;
@@ -178,16 +198,12 @@ class OrdName:
       search only, and nothing checks it.
     """
 
-    __slots__ = ("ident", "arity", "height", "width", "stack", "cnf",
+    __slots__ = ("ident", "index", "arity", "height", "width", "stack", "cnf",
                  "__weakref__")
 
     @property
     def is_zero(self) -> bool:
         return self is ZERO
-
-    @property
-    def index(self) -> Index:
-        raise NotImplementedError
 
     def child(self, i: int) -> "OrdName":
         raise NotImplementedError
@@ -212,12 +228,9 @@ class _ZeroName(OrdName):
     def __new__(cls) -> "_ZeroName":
         inst = super().__new__(cls)
         inst.ident = inst.arity = inst.height = inst.width = inst.stack = 0
+        inst.index = fin(0)
         inst.cnf = None
         return inst
-
-    @property
-    def index(self) -> Index:
-        return Fin(0)
 
     def child(self, i: int) -> OrdName:
         raise IndexError("zero has no subordinals")
@@ -225,43 +238,58 @@ class _ZeroName(OrdName):
 
 ZERO = _ZeroName()
 
+_NO_SUBORDINALS = Family(fin(0), (), None, None)
+
 
 class Node(OrdName):
-    __slots__ = ("family",)
+    """A node over a nonempty family.  Over Fin(k) its one extra slot holds
+    the tuple of its k members, and nothing else is kept; a Family is built
+    only when ``family`` is read.  Over the naturals the slot holds the
+    Family itself."""
 
-    def __init__(self, family: Family):
+    __slots__ = ("_members",)
+
+    def __init__(self, members: Union[tuple, Family]):
         self.ident = _fresh_ident()
-        self.family = family
+        self._members = members
         self.height = self.width = self.cnf = None
         self.stack = 0
-        children = family._children
-        if children is None:
-            cf = family.const_from
+        if isinstance(members, Family):
+            self.index = NAT
+            cf = members.const_from
             self.arity = None if cf is None else cf + 1
             return
-        self.arity = len(children)
-        if len(children) == 1:
-            self.stack = children[0].stack + 1
-        heights = [c.height for c in children]
+        self.index = fin(len(members))
+        self.arity = len(members)
+        if len(members) == 1:
+            self.stack = members[0].stack + 1
+        heights = [c.height for c in members]
         if None not in heights:
             self.height = 1 + max(heights)
-            self.width = max([len(children)] + [c.width for c in children])
+            self.width = max([len(members)] + [c.width for c in members])
             return
         # one more than the largest child
-        hints = [cnf.of(c) for c in children]
+        hints = [cnf.of(c) for c in members]
         if None not in hints:
             self.cnf = cnf.add(cnf.top(hints), cnf.ONE)
 
     @property
-    def index(self) -> Index:
-        return self.family.index
+    def family(self) -> Family:
+        if self.index is NAT:
+            return self._members
+        return Family(self.index, self._members, None, None)
 
     def child(self, i: int) -> OrdName:
-        return self.family.at(i)
+        m = self._members
+        if self.index is NAT:
+            return m.at(i)
+        if isinstance(i, int) and 0 <= i < len(m):
+            return m[i]
+        raise IndexError(f"index {i!r} outside {self.index!r}")
 
 
-# Finitary nodes interned by (arity, child idents): structurally equal
-# constructions return the same object.
+# Finitary nodes interned by their member tuple (names hash and compare by
+# ident): structurally equal constructions return the same object.
 _intern: dict = {}
 
 # Provenance of non-interned sup results, so sup_decomposition (the argument
@@ -276,11 +304,9 @@ def mk_zero() -> OrdName:
 
 
 def _node_fin(children: tuple) -> OrdName:
-    key = tuple([c.ident for c in children])
-    hit = _intern.get(key)
+    hit = _intern.get(children)
     if hit is None:
-        hit = _intern[key] = Node(Family(Fin(len(children)), children, None,
-                                         None))
+        hit = _intern[children] = Node(children)
     return hit
 
 
@@ -334,7 +360,7 @@ def omega() -> OrdName:
 def subordinals(alpha: OrdName) -> Family:
     """The definitional family of a name; empty for zero."""
     if alpha.is_zero:
-        return Family(Fin(0), (), None, None)
+        return _NO_SUBORDINALS
     return alpha.family
 
 
@@ -419,7 +445,7 @@ def _sup_of_members(members: tuple) -> OrdName:
         # sup_order's concatenation, spelled out: this path is hot
         flat: list = []
         for m in members:
-            flat.extend(m.family._children)
+            flat.extend(m._members)
         node = _node_fin(tuple(flat))
         if not node.is_finitary:
             _sup_members[node] = members
@@ -542,7 +568,7 @@ def fold(alpha: OrdName, step: Callable[[OrdName, FoldView], object],
         if d > depth_guard:
             raise IllFoundedError(f"fold exceeded depth guard {depth_guard}")
         if a.is_zero:
-            return step(a, FoldView(Fin(0), lambda i: None))
+            return step(a, FoldView(a.index, lambda i: None))
         cache: dict = {}
 
         def at(i: int):
@@ -588,7 +614,7 @@ def format_name(alpha: OrdName) -> str:
         return "w"
     if not alpha.is_finitary:
         return f"~nat#{alpha.ident}"
-    inner = ", ".join(format_name(c) for c in alpha.family._children)
+    inner = ", ".join(format_name(c) for c in alpha._members)
     return f"suc({inner})"
 
 

@@ -1,11 +1,14 @@
 """Name construction: zero, nodes, successors, sups, views, filtering."""
 
+import gc
+import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 
-from ordcalc import compare, oracle
+from ordcalc import compare, names, oracle
 from ordcalc.names import (Family, Fin, IllFoundedError, NAT, ZERO, BitSeq,
                            eps_lpo, filtering, fold, max_fin_width, mk_node,
                            mk_zero, omega, structural_depth, subordinals, suc,
@@ -175,6 +178,62 @@ class TestSubordinals:
 
     def test_zero_view_is_empty(self):
         assert subordinals(ZERO).index == Fin(0)
+
+
+class TestFiniteNodes:
+    """A node over Fin(k) holds only its member tuple; index, child,
+    subordinals and mk_node read it as the finite family of its members."""
+
+    @given(finitary_names())
+    def test_index_child_and_subordinals_agree(self, a):
+        if a.is_zero:
+            return
+        k = a.arity
+        assert a.index == Fin(k)
+        view = subordinals(a)
+        assert view.index == Fin(k)
+        kids = [a.child(i) for i in range(k)]
+        assert all(view.at(i) is kid for i, kid in enumerate(kids))
+        assert mk_node(Family.from_children(kids)) is suc_list(kids) is a
+
+    @pytest.mark.parametrize("i", [-1, -2, 2, 3, 10 ** 6, "0", None])
+    def test_child_outside_the_index_raises(self, i):
+        a = suc_list([und(1), und(2)])
+        with pytest.raises(IndexError):
+            a.child(i)
+
+    def test_index_sets_and_zero_view_are_shared(self):
+        pair = suc_list([und(2), und(1)])
+        assert pair.index is suc_list([ZERO, und(3)]).index is names.fin(2)
+        assert und(4).index is names.fin(1)
+        assert ZERO.index is names.fin(0)
+        assert subordinals(ZERO) is subordinals(ZERO)
+
+    def test_interned_binary_node_costs_at_most_300_bytes(self):
+        # A node over two existing children: the node, its member tuple,
+        # its ident, and its average share of the intern table.  The
+        # table's own growth is left out because it comes in doublings.
+        # The children sit over a fresh natural node, so every pair is new.
+        seed = mk_node(Family.from_generator(und))
+        kids = [suc_list([seed] * j) for j in range(1, 41)]
+        pairs = [(a, b) for a in kids for b in kids if a is not b]
+        made = [None] * len(pairs)
+        gc.collect()
+        count = len(names._intern)
+        tracemalloc.start()
+        try:
+            table = sys.getsizeof(names._intern)
+            before = tracemalloc.get_traced_memory()[0]
+            for k, (a, b) in enumerate(pairs):
+                made[k] = suc_list([a, b])
+            grown = tracemalloc.get_traced_memory()[0] - before
+            grown -= sys.getsizeof(names._intern) - table
+        finally:
+            tracemalloc.stop()
+        fresh = len(names._intern) - count
+        assert fresh == len(pairs)
+        share = sys.getsizeof(names._intern) / len(names._intern)
+        assert grown / fresh + share <= 300, (grown / fresh, share)
 
 
 class TestFiltering:
