@@ -40,7 +40,12 @@ reads a form.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
-a prefix covering it works too.
+a prefix covering it works too.  For the same reason, against bounds with
+no cover, where a < bs can only be confirmed, the widest selection the
+width allows is the only one asked, provided it has a cover itself.  When
+it has none, the selections are scanned in turn: asked alone, it would ask
+the widest selection of its own members, and so on, each bound set a width
+times larger than the last and built outside the step budget.
 """
 
 from __future__ import annotations
@@ -620,6 +625,18 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         if _by_rows([_table(a)], rec.height - 1, n)[1]:
             _memo[key] = False
             return FALSE
+    if cover is None and start < top:
+        # with no cover the scan can only confirm, and selection top holds
+        # every smaller one: ask it alone when it has a cover itself, that
+        # is, no member in rows 0..top-1 lacks an arity, which keeps such
+        # asks from nesting inside each other
+        for t in _tables_of(rec):
+            t.grow(top)
+            t.measure()
+            if t.cover[min(top, len(t.members)) - 1] is None:
+                break
+        else:
+            start = top
     covering: Optional[TriBool] = None
     starved: Optional[TriBool] = None
     for m in range(start, top + 1):

@@ -14,6 +14,8 @@ from ordcalc.names import (ZERO, Family, mk_node, omega, suc_list, sup_finite,
 
 from .conftest import failing_past_five, finitary_names, seeded_pairs
 from .test_cnf_differential import checks
+from .verdict_diff import EXPRESSIONS, TWO_NAME
+from .verdict_diff import FUELS as FUEL_FIELDS
 
 
 class TestLe:
@@ -159,12 +161,14 @@ class TestHeightShortcut:
 class TestStepBudget:
     def test_spent_steps_are_reported_as_such(self):
         # neither query can end definite: le(w, [w+1]) is never True, since
-        # w has no finite arity, and lt(w+1, [w]) never False, since {w} has
-        # no cover.  Both still scan, so at 50 steps the budget runs out
-        # before the width does, and that is the reason they give
+        # w has no finite arity, and lt(w+1, [w*2]) never False, since
+        # {w*2} has no cover.  Both still scan (the widest selection of
+        # w*2 holds w, so it has no cover either), so at 50 steps the budget
+        # runs out before the width does, and that is the reason they give
         w = omega()
         w1 = arith.add(w, und(1))
-        for rel, a, b in ((le, w, w1), (lt, w1, w)):
+        w2 = arith.mul(w, und(2))
+        for rel, a, b in ((le, w, w1), (lt, w1, w2)):
             clear_memo()
             v = rel(a, (b,), Fuel(steps=50))
             assert v.is_unknown
@@ -277,11 +281,8 @@ class TestMemberTable:
             assert rel(four, (und(bound),)).value is value, (rel, bound)
 
 
-EXPRESSIONS = ("0 1 3 7 w w+1 w+2 w+3 1+w 2+w suc(w) w*2 w+w w*2+1 w*3 w^2 "
-               "w^w sup(w,3) sup(w,w+1) eps0").split()
-FUELS = (Fuel(), Fuel(steps=50), Fuel(steps=300), Fuel(4, 12), Fuel(8, 6),
-         Fuel(16, 40), Fuel(3, 3))
-# left out at the default fuel only: each of these scans runs for 8,000 to
+FUELS = tuple(Fuel(*fuel) for fuel in FUEL_FIELDS)
+# left out at the default fuel only: each of these scans runs for 6,700 to
 # 32,768 evals with the readers declining or not and ends unknown on both
 # sides, which took most of this test's time; the other fuels still ask them
 HEAVY = ({("le", a, "w*2+1") for a in "w*2 w+w w*3 w^2 eps0".split()}
@@ -289,13 +290,6 @@ HEAVY = ({("le", a, "w*2+1") for a in "w*2 w+w w*3 w^2 eps0".split()}
                                          ("lt", "w+3"))
             for b in "w*2 w*3 w^2 w^w".split()}
          | {("lt", "w+3", "w*2+1")})
-
-
-# two-name bound sets: a zero bound, finitary bounds, bounds of finite arity
-# whose last member stands in for the rows past it, and bounds with no cover
-TWO_NAME = [tuple(p.split("|")) for p in (
-    "0|w 7|w w|1+w w*2|w+w 3|w+1 w+1|w+3 w|w+2 sup(w,3)|eps0 w^2|eps0 "
-    "w+2|w+w 3|w^w").split()]
 
 
 def _verdicts(names, decline, bound_sets, fuels=FUELS):
@@ -338,6 +332,12 @@ def _agree(slow, quick):
             assert now[1] == WIDTH_TRUNCATED, (query, reason, now)
 
 
+def _definite(verdicts):
+    """How many verdicts are definite: a floor on it fails an engine change
+    that loses definiteness on both sides of the differential at once."""
+    return sum(value is not None for value, _ in verdicts.values())
+
+
 def test_member_table_changes_no_definite_verdict():
     """The readers keep the scan's verdicts on one-name bound sets."""
     names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
@@ -346,6 +346,7 @@ def test_member_table_changes_no_definite_verdict():
     quick = _verdicts(names, False, bound_sets)
     assert len(quick) == 5600 - len(HEAVY) == 5582
     _agree(slow, quick)
+    assert _definite(quick) >= 2205
 
 
 def test_two_name_bound_sets_read_both_tables():
@@ -356,6 +357,7 @@ def test_two_name_bound_sets_read_both_tables():
     quick = _verdicts(names, False, TWO_NAME, FUELS[1:])
     assert len(quick) == 6 * 20 * 2 * len(TWO_NAME)
     _agree(slow, quick)
+    assert _definite(quick) >= 855
 
 
 def _scan(b, h, k):
@@ -487,6 +489,41 @@ class TestUnsettledScans:
         # declared const_from, so it has no cover; w is its member 3
         assert lt(w, (arith.add(und(1), w), steady)).is_true
         assert lt(w, (steady,), Fuel(width=3)).is_unknown
+
+
+class TestWidestSelection:
+    """Against bounds with no cover, lt can only confirm, and a selection
+    lies below every wider one: when the widest selection has a cover
+    itself, it is the only one asked."""
+
+    def test_widest_selection_alone_ends_the_scan(self):
+        # {0, ..., 63} has a cover, and w's member 63 refutes w+1 against
+        # it, which leaves the scan nothing to confirm
+        w = omega()
+        v, evals = _evals_of(lt, arith.add(w, und(1)), (w,))
+        assert (v.value, v.reason) == (None, WIDTH_TRUNCATED)
+        assert evals <= 5
+
+    def test_widest_selection_confirms(self):
+        # members w+1, w+2, ... have one member each, so the widest
+        # selection, w+1 .. w+64, has a cover, and it bounds both members
+        # of a; a scan from selection 1 spends every step before it
+        w = omega()
+        b = mk_node(Family.from_generator(lambda i: arith.add(w, und(i + 1))))
+        a = sup_finite([arith.add(w, und(2)), arith.add(w, und(40))])
+        for fuel in (Fuel(), Fuel(steps=50)):
+            v, evals = _evals_of(lt, a, (b,), fuel)
+            assert v.is_true and evals <= 5
+
+    def test_widest_selection_without_a_cover_is_not_asked_alone(self):
+        # the widest selection of w^w holds its member 7, w, which has no
+        # finite arity: asking it alone would nest widest asks over ever
+        # larger bound sets, so the selections are scanned in turn
+        ww = lower(parse_expr("w^w"))
+        for a, want in (("w+2", (None, WIDTH_TRUNCATED, 6775)),
+                        ("w+3", (None, STEPS_EXHAUSTED, 32768))):
+            v, evals = _evals_of(lt, lower(parse_expr(a)), (ww,))
+            assert (v.value, v.reason, evals) == want
 
 
 class TestFailingGenerator:
