@@ -250,25 +250,24 @@ class _Bounds:
 
 
 class _Rows:
-    """One name's member table: members[r] is its member r (idents[r] that
-    member's ident), pulled once and in order, and read by every bound set
-    that holds the name.  Row r of a bound set is member r of each of its
-    bounds that has one.  Running maxima over members 0..r, measured on
-    demand, since a membership scan reads none: cover[r] of the arities
-    (None once one has none), and height[r] of the heights, kept only for
-    as long as every member is finitary.
+    """One name's member table, read by every bound set that holds it:
+    members is the name's own store (``pulled``), member r at r, pulled once
+    and in order by whoever asks first; grow only pulls.  Row r of a bound
+    set is member r of each of its bounds that has one.  Running maxima over
+    members 0..r, measured on demand, since a membership scan reads none:
+    cover[r] of the arities (None once one has none), and height[r] of the
+    heights, kept only for as long as every member is finitary.
 
     The certificate search reads the table too: forms[r] is the largest
     Cantor normal form among members 0..r, members without one not counted
     (None while none has one), measured by reach alone: the engine never
     reads forms."""
 
-    __slots__ = ("name", "members", "idents", "cover", "height", "forms")
+    __slots__ = ("name", "members", "cover", "height", "forms")
 
     def __init__(self, name: OrdName):
         self.name = name
-        self.members: list = []
-        self.idents: list = []
+        self.members = name.pulled
         self.cover: list = []
         self.height: list = []
         self.forms: list = []
@@ -278,10 +277,9 @@ class _Rows:
         when the name has fewer."""
         if self.name.arity is not None:
             n = min(n, self.name.arity)
-        for r in range(len(self.members), n):
-            m = child(self.name, r)
-            self.members.append(m)
-            self.idents.append(m.ident)
+        members = self.members
+        while len(members) < n:
+            child(self.name, len(members))
 
     def measure(self) -> None:
         """Extend the running maxima over the members pulled so far."""
@@ -330,11 +328,11 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     return rec
 
 
-def _pull_rows(tables: list, n: int, ident: Optional[int] = None) -> int:
+def _pull_rows(tables: list, n: int, a: Optional[OrdName] = None) -> int:
     """Grow the tables through the bound set's row n-1, a row at a time and
     index-major, from the first row that one of them lacks.  Stop after the
-    first row that pulls a member with this ident, and return that row's
-    number, or n when none does."""
+    first row that pulls a, and return that row's number, or n when none
+    does."""
     short = [t for t in tables if len(t.members) < n
              and (t.name.arity is None or len(t.members) < t.name.arity)]
     for r in range(min([len(t.members) for t in short], default=n), n):
@@ -342,7 +340,7 @@ def _pull_rows(tables: list, n: int, ident: Optional[int] = None) -> int:
         for t in short:
             if len(t.members) == r:
                 t.grow(r + 1)
-                hit = hit or t.idents[r:] == [ident]
+                hit = hit or t.members[r] is a
         if hit:
             return r
     return n
@@ -393,13 +391,12 @@ def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     one of the first top selections?  Read off the bounds' tables without
     building the selections, pulling rows in the order the selections take
     them, and none past the first row that holds a."""
-    ident = a.ident
     tables = _tables_of(rec)
-    found = min([t.idents.index(ident) for t in tables if ident in t.idents],
+    found = min([t.members.index(a) for t in tables if a in t.members],
                 default=top)
     # pull the rows up to the first that holds a where a table lacks them
     end = min(found + 1, top)
-    return _pull_rows(tables, end, ident) < end or found < top
+    return _pull_rows(tables, end, a) < end or found < top
 
 
 def _by_height(a: OrdName, bs: tuple, rhs_key: frozenset,

@@ -32,7 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cnf, compare
 from .compare import Judgment
-from .names import (Family, Fin, NAT, Index, OrdName, ZERO, _mask_bits,
+from .names import (Family, Fin, NAT, OrdName, ZERO, _mask_bits,
                     filtering, fin, suc, sup_decomposition, sup_finite,
                     sup_order)
 
@@ -85,21 +85,19 @@ VerifyPolicy = object  # Exhaustive | SpotCheck
 class Certificate:
     """One rule application.  Immutable by convention; compared by identity.
 
-    Premises are a tuple, or a generator over gen_index whose results are
+    Premises are a tuple, or a generator over the naturals whose results are
     cached.  The sequent calculus subclasses this type."""
 
-    __slots__ = ("rule", "conclusion", "premises", "gen_index", "_gen",
-                 "_gen_cache", "payload")
+    __slots__ = ("rule", "conclusion", "premises", "_gen", "_gen_cache",
+                 "payload")
 
     def __init__(self, rule: str, conclusion: Judgment,
                  premises: Tuple["Certificate", ...] = (),
-                 gen_index: Optional[Index] = None,
                  gen: Optional[Callable[[int], "Certificate"]] = None,
                  payload: tuple = ()):
         self.rule = rule
         self.conclusion = conclusion
         self.premises = premises
-        self.gen_index = gen_index
         self._gen = gen
         self._gen_cache: dict = {}
         self.payload = payload
@@ -117,8 +115,8 @@ class Certificate:
         """Premise i, generated on first use; the verifier checks its type."""
         if self._gen is None:
             return self.premises[i]
-        if i not in self.gen_index:
-            raise IndexError(f"premise index {i!r} outside {self.gen_index!r}")
+        if i not in NAT:
+            raise IndexError(f"premise index {i!r} outside {NAT!r}")
         hit = self._gen_cache.get(i)
         if hit is None:
             hit = self._gen_cache[i] = self._gen(i)
@@ -157,7 +155,7 @@ def subordinal_premises(x: OrdName, premises=None, gen=None) -> dict:
         return {"premises": premises}
     if gen is None or premises:
         raise KernelError("naturally indexed name takes a premise generator")
-    return {"gen_index": NAT, "gen": gen}
+    return {"gen": gen}
 
 
 def subordinal_arity(x: OrdName, c: Certificate) -> Optional[str]:
@@ -681,10 +679,7 @@ def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
                 raise KernelError(
                     "exhaustive verification is only meaningful for "
                     "finitely branching certificates; use SpotCheck")
-            indices = [s for s in spot.samples if s in c.gen_index]
-            if not indices:
-                report.fail(path, "no sample index fits the premise family")
-                return
+            indices = spot.samples
         else:
             indices = range(len(c.premises))
         check = rules[c.rule].premise

@@ -33,8 +33,7 @@ from typing import (Callable, FrozenSet, Iterable, List, NamedTuple, Optional,
 
 from .kernel import (Certificate, Exhaustive, KernelError, Rule, VerifyReport,
                      check_derivation, subordinal_arity, subordinal_premises)
-from .names import (BitSeq, Index, OrdName, ZERO, eps_lpo, structural_depth,
-                    und)
+from .names import BitSeq, OrdName, ZERO, eps_lpo, structural_depth, und
 
 
 class _AtomFields(NamedTuple):
@@ -202,9 +201,8 @@ class MlCertificate(Certificate):
     def __init__(self, rule: str, conclusion: Sequent, principal: Atom,
                  choice: Optional[int] = None,
                  premises: Tuple["MlCertificate", ...] = (),
-                 gen_index: Optional[Index] = None,
                  gen: Optional[Callable[[int], "MlCertificate"]] = None):
-        super().__init__(rule, conclusion, premises, gen_index, gen)
+        super().__init__(rule, conclusion, premises, gen)
         self.principal = principal
         self.choice = choice
 

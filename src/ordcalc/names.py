@@ -6,8 +6,10 @@ Finitary names (every index set in the tree is finite) are hash-consed, so for
 them structural equality coincides with object identity; names over natural
 index sets are fresh per construction except for a few canonical constants.
 
-Every name carries an opaque integer ``ident``.  Ident equality implies
-observational equality; the converse holds only on the finitary fragment.
+Every name object draws its own opaque integer ``ident``: names hash by it
+and compare by identity.  Identity implies observational equality; the
+converse holds only on the finitary fragment.  A name's members are held
+once, in its store (``pulled``), which the comparison engine reads.
 """
 
 from __future__ import annotations
@@ -98,29 +100,29 @@ _fresh_ident = itertools.count(1).__next__
 class Family:
     """A total map from an index set to names.
 
-    Finitely indexed families hold their members eagerly.  Naturally indexed
-    ones hold a generator whose results are cached, so repeated queries at the
-    same index return the same object.  ``const_from`` marks a family whose
-    members stabilize: for i >= const_from, at(i) returns at(const_from)
-    itself.  The wrapper enforces this, which is what lets bounded search
-    treat such a family as exhaustible.  Only naturally indexed families
-    draw an ``ident`` (shown by repr); a finite one's is None.
+    Its one store of members, ``_members``, is a tuple over Fin(k).  Over
+    the naturals it is a list that a generator fills in index order, so the
+    generator runs once per index; a member asked for ahead of the list
+    waits in ``_ahead`` until the list reaches it.  ``const_from`` marks a
+    family whose members stabilize: for i >= const_from, at(i) returns
+    at(const_from) itself.  The wrapper enforces this, which is what lets
+    bounded search treat such a family as exhaustible.  Only naturally
+    indexed families draw an ``ident`` (shown by repr); a finite one's is
+    None.
     """
 
-    __slots__ = ("index", "ident", "const_from", "_children", "_gen", "_cache")
+    __slots__ = ("index", "ident", "const_from", "_members", "_gen", "_ahead")
 
-    def __init__(self, index: Index, children: Optional[tuple],
+    def __init__(self, index: Index, members: Union[tuple, list],
                  gen: Optional[Callable[[int], "OrdName"]],
                  const_from: Optional[int]):
         self.index = index
         self.const_from = const_from
-        self._children = children
+        self._members = members
         self._gen = gen
-        if children is None:
-            self.ident = _fresh_ident()
-            self._cache: Optional[dict] = {}
-        else:
-            self.ident = self._cache = None
+        self.ident = self._ahead = None
+        if gen is not None:
+            self.ident, self._ahead = _fresh_ident(), {}
 
     @staticmethod
     def from_children(children: Sequence["OrdName"]) -> "Family":
@@ -135,21 +137,27 @@ class Family:
                        const_from: Optional[int] = None) -> "Family":
         if const_from is not None and const_from < 0:
             raise ValueError("const_from must be nonnegative")
-        return Family(NAT, None, gen, const_from)
+        return Family(NAT, [], gen, const_from)
 
     def at(self, i: int) -> "OrdName":
         if i not in self.index:
             raise IndexError(f"index {i!r} outside {self.index!r}")
-        if self._children is not None:
-            return self._children[i]
+        m = self._members
+        if self._gen is None:
+            return m[i]
         if self.const_from is not None and i > self.const_from:
             i = self.const_from
-        hit = self._cache.get(i)
+        if i < len(m):
+            return m[i]
+        hit = self._ahead.pop(i, None)
         if hit is None:
             hit = self._gen(i)
             if not isinstance(hit, OrdName):
                 raise TypeError(f"family generator returned non-name: {hit!r}")
-            self._cache[i] = hit
+        if i == len(m):
+            m.append(hit)
+        else:
+            self._ahead[i] = hit
         return hit
 
     def __repr__(self) -> str:
@@ -160,8 +168,8 @@ class Family:
 
 def map_family(fam: Family, fn: Callable[["OrdName"], "OrdName"]) -> Family:
     """Apply fn pointwise; preserves index and any stabilization mark."""
-    if fam._children is not None:
-        return Family.from_children(tuple(fn(c) for c in fam._children))
+    if fam._gen is None:
+        return Family.from_children(tuple(fn(c) for c in fam._members))
     memo: dict = {}
 
     def gen(i: int) -> "OrdName":
@@ -212,9 +220,6 @@ class OrdName:
     def is_finitary(self) -> bool:
         return self.height is not None
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OrdName) and other.ident == self.ident
-
     def __hash__(self) -> int:
         return self.ident
 
@@ -224,6 +229,7 @@ class OrdName:
 
 class _ZeroName(OrdName):
     __slots__ = ()
+    pulled: tuple = ()
 
     def __new__(cls) -> "_ZeroName":
         inst = super().__new__(cls)
@@ -279,6 +285,13 @@ class Node(OrdName):
             return self._members
         return Family(self.index, self._members, None, None)
 
+    @property
+    def pulled(self) -> Union[tuple, list]:
+        """The members held so far, in index order: the store itself, the
+        member tuple over Fin(k) or the family's list over the naturals."""
+        m = self._members
+        return m if self.index is not NAT else m._members
+
     def child(self, i: int) -> OrdName:
         m = self._members
         if self.index is NAT:
@@ -316,7 +329,7 @@ def mk_node(family: Family) -> OrdName:
     if isinstance(family.index, Fin):
         if family.index.size == 0:
             raise ValueError("empty family: use mk_zero")
-        return _node_fin(tuple(family._children))
+        return _node_fin(family._members)
     return Node(family)
 
 
@@ -493,11 +506,8 @@ def sup_decomposition(alpha: OrdName, members) -> bool:
     if not members:
         return alpha.is_zero
     if all(m.is_finitary for m in members) and alpha.is_finitary:
-        return _sup_of_members(members).ident == alpha.ident
-    recorded = _sup_members.get(alpha)
-    if recorded is None:
-        return False
-    return tuple(m.ident for m in recorded) == tuple(m.ident for m in members)
+        return _sup_of_members(members) is alpha
+    return _sup_members.get(alpha) == members
 
 
 # ---------------------------------------------------------------------------

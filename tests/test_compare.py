@@ -9,8 +9,8 @@ from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
                              Fuel, Ordering, clear_memo, cmp_finitary, eq,
                              finitary_fuel, le, lt, memo_stats)
 from ordcalc.expr import lower, parse_expr
-from ordcalc.names import (ZERO, Family, mk_node, omega, suc_list, sup_finite,
-                           und)
+from ordcalc.names import (NAT, ZERO, Family, mk_node, omega, suc_list,
+                           sup_finite, und)
 
 from .conftest import failing_past_five, finitary_names, seeded_pairs
 from .test_cnf_differential import checks
@@ -396,26 +396,41 @@ def _reach_goals(b):
     return sorted(goals | {cnf.nat(n) for n in range(71)}, key=repr)
 
 
+def _over(b):
+    """A fresh name over b's members, whose store holds only what is pulled
+    through it: b's own holds what _scan and earlier tests pulled."""
+    cf = None if b.arity is None else b.arity - 1
+    return mk_node(Family.from_generator(b.child, const_from=cf))
+
+
 def test_reach_finds_what_the_linear_scan_finds():
     """compare.reach against a scan from index 0: each query from an empty
     memo, and then all of a bound's queries in one memo, where the rows
     measured by earlier queries are bisected.  No row is pulled past the
-    member that answers, nor past k when none does."""
+    member that answers, nor past k when none does, read off a fresh name
+    over a natural b's members; a finite name holds every member."""
     for label, b in _reach_bounds().items():
         goals = _reach_goals(b)
+        natural = b.index is NAT
         for k in (1, 5, 48):
             want = [_scan(b, h, k) for h in goals]
             for h, i in zip(goals, want):
                 clear_memo()
                 assert compare.reach(b, h, k) == i, (label, h, k)
-                rows = len(compare._table(b).members)
-                assert rows <= (k if i is None else i + 1), (label, h, k)
+                if natural:
+                    c = _over(b)
+                    assert compare.reach(c, h, k) == i, (label, h, k)
+                    rows = len(compare._table(c).members)
+                    assert rows <= (k if i is None else i + 1), (label, h, k)
             clear_memo()
+            c = _over(b) if natural else None
             pulled = 0
             for h, i in zip(goals, want):
                 assert compare.reach(b, h, k) == i, (label, h, k)
-                pulled = max(pulled, k if i is None else i + 1)
-                assert len(compare._table(b).members) <= pulled
+                if natural:
+                    assert compare.reach(c, h, k) == i, (label, h, k)
+                    pulled = max(pulled, k if i is None else i + 1)
+                    assert len(compare._table(c).members) <= pulled
 
 
 class TestUnsettledScans:
@@ -559,7 +574,7 @@ class TestFailingGenerator:
         # query, through the other bound or through f, before f's row 6
         f = mk_node(Family.from_generator(failing_past_five))
         double = mk_node(Family.from_generator(lambda i: und(2 * i)))
-        w = omega()
+        w = mk_node(Family.from_generator(und))
         steady = mk_node(Family.from_generator(
             lambda i: und(i) if i < 3 else w))
         for a, g in ((und(6), double), (und(3), w), (w, steady)):

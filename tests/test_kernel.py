@@ -241,6 +241,17 @@ class TestVerify:
         cert = le_cert(omega(), (add(und(1), omega()),))
         assert ok(cert, SpotCheck(samples=(0, 7, 31), depth=64))
 
+    def test_every_sample_of_a_generated_premise_is_checked(self):
+        # w <= [3] is false: its premises hold at members 0..2 only, and the
+        # certificate has no say over which samples are checked
+        forged = Certificate("le_intro", Judgment("le", omega(), (und(3),)),
+                             gen=lambda i: lt_cert(und(i), (und(3),)))
+        report = verify(forged, SpotCheck((0, 5)))
+        assert not report.ok
+        assert [path for path, _ in report.failures] == ["root.5"]
+        with pytest.raises(IndexError):
+            forged.premise_at(-1)
+
 
 class TestSearch:
     def test_equal_names_both_ways(self):

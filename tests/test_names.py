@@ -147,6 +147,12 @@ class TestSupFinite:
         s = sup_finite(members)
         assert sup_decomposition(s, members)
 
+    def test_decomposition_of_a_family_sup_is_not_a_tuple(self):
+        f = Family.from_generator(lambda n: und(n + 1))
+        s = sup_family(f)
+        assert sup_decomposition(s, f)
+        assert not sup_decomposition(s, (und(1),))
+
 
 _STEADY = mk_node(Family.from_generator(und, const_from=2))
 
@@ -165,6 +171,52 @@ def test_sup_order_lists_the_sup(members):
     n = s.index.size if isinstance(s.index, Fin) else 40
     listed = [at(j).child(i) for j, i in islice(sup_order(members), n)]
     assert listed == [s.child(k) for k in range(n)]
+
+
+class TestNaturalStore:
+    """A naturally indexed family holds each member once, in one list in
+    index order, which is the store the engine's member table reads."""
+
+    @staticmethod
+    def _counted(const_from=None):
+        calls = []
+
+        def gen(i):
+            calls.append(i)
+            # a fresh node per call, so identity shows which call made it
+            return mk_node(Family.from_generator(lambda j: und(i)))
+
+        return Family.from_generator(gen, const_from=const_from), calls
+
+    def test_a_member_asked_ahead_is_kept_until_the_list_reaches_it(self):
+        f, calls = self._counted()
+        five = f.at(5)
+        assert [f.at(i) for i in range(6)][5] is five
+        assert sorted(calls) == list(range(6))
+        assert f.at(5) is five and len(calls) == 6
+
+    def test_a_constant_tail_is_its_first_member(self):
+        for order in ((9, 3), (3, 9)):
+            f, calls = self._counted(const_from=3)
+            got = [f.at(i) for i in order]
+            assert got[0] is got[1] and calls == [3]
+
+    def test_a_member_pulled_outside_the_engine_is_a_held_row(self):
+        b = mk_node(Family.from_generator(und))
+        pulled = [b.child(i) for i in range(10)]
+        compare.clear_memo()
+        rows = compare._table(b)
+        assert rows.members is b.pulled
+        assert rows.members == pulled
+        # the engine pulls into the same store
+        assert compare.lt(und(12), (b,)).is_true
+        assert len(b.pulled) == 13
+
+    def test_names_compare_by_identity_and_hash_by_ident(self):
+        a, b = (mk_node(Family.from_generator(und)) for _ in range(2))
+        assert a != b and a == a
+        for n in (a, b, ZERO, und(3), omega()):
+            assert hash(n) == n.ident
 
 
 class TestSubordinals:
