@@ -331,16 +331,15 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
 def _pull_rows(tables: list, n: int, a: Optional[OrdName] = None) -> int:
     """Grow the tables through the bound set's row n-1, a row at a time and
     index-major, from the first row that one of them lacks.  Stop after the
-    first row that pulls a, and return that row's number, or n when none
-    does."""
+    first such row that holds a, whichever bound's generator pulled it, and
+    return its number, or n when none does."""
     short = [t for t in tables if len(t.members) < n
              and (t.name.arity is None or len(t.members) < t.name.arity)]
     for r in range(min([len(t.members) for t in short], default=n), n):
         hit = False
         for t in short:
-            if len(t.members) == r:
-                t.grow(r + 1)
-                hit = hit or t.members[r] is a
+            t.grow(r + 1)
+            hit = hit or r < len(t.members) and t.members[r] is a
         if hit:
             return r
     return n
@@ -460,9 +459,9 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
             known = n
     if first < known:
         return first, reached
-    # every row a table holds is settled above, so from row known on a row
-    # is read only in the tables that lack it, each new member measured
-    # once, and a table with no more members is dropped
+    # every row a table holds is settled above; from row known on, row r is
+    # read in every table that has it, since another bound's generator may
+    # have pulled it, and a table with no more members is dropped
     def more(t: _Rows) -> bool:
         return t.name.arity is None or len(t.members) < t.name.arity
 
@@ -470,14 +469,14 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
     for r in range(known, min(first + 1, top)):
         stop = hit = done = False
         for t in live:
-            if len(t.members) == r:
-                t.grow(r + 1)
+            t.grow(r + 1)
+            if r < len(t.members):
                 t.measure()
                 if len(t.height) == r:
                     stop = True
                 elif t.height[r] >= target:
                     hit = True
-                done = done or not more(t)
+            done = done or not more(t)
         if stop:
             return r, False
         if r == first:

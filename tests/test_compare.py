@@ -592,6 +592,37 @@ class TestFailingGenerator:
                 lt(und(7), (f,), fuel)
 
 
+class TestSharedStores:
+    """A table is its name's own store, so one bound's generator can pull
+    another bound's members while the rows are read: a row pulled that way
+    is read like any other."""
+
+    def test_height_scan_reads_rows_another_bound_pulled(self):
+        # c's row 0 pulls b's row 0, w, which stops the scan: 5 < w+1
+        b = mk_node(Family.from_generator(lambda i: omega(), const_from=0))
+        c = mk_node(Family.from_generator(
+            lambda i: (b.child(i), und(1))[1], const_from=0))
+        clear_memo()
+        assert lt(und(5), (c, b)).is_true
+
+    def test_height_scan_measures_rows_another_bound_pulled(self):
+        # with no cover the scan goes on past row 0, whose w c pulled
+        b = mk_node(Family.from_generator(lambda i: omega()))
+        c = mk_node(Family.from_generator(lambda i: (b.child(0), und(1))[1]))
+        clear_memo()
+        assert lt(und(5), (c, b)).is_true
+
+    def test_membership_reads_rows_another_bound_pulled(self):
+        # m is b's member 3, pulled ahead of b's list; x+b's row 3 brings it
+        # into the list before b's own row 3 is read
+        b = mk_node(Family.from_generator(
+            lambda i: mk_node(Family.from_generator(lambda j: und(i + j)))))
+        m = b.child(3)
+        assert compare._table(b).members == []
+        clear_memo()
+        assert lt(m, (arith.add(und(1), b), b)).is_true
+
+
 class TestMemo:
     def test_second_run_reuses_verdicts(self):
         # height reads are not memoized, so the memo is shown on scans of
