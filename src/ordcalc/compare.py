@@ -16,12 +16,15 @@ cached; those read off heights (below) are not, since reading the heights
 again costs no more than a lookup; Unknown is never cached.
 
 An Unknown can also mean that no scan at any budget settles the question.
-a <= bs is confirmed only by exhausting a's subordinals, which needs a finite
-arity, and refuted only through a refuted a' < bs, which needs the bounds to
-have a cover (a largest witness selection).  When a has neither, the engine
-answers width-truncated at once instead of spending its budget; a < bs is
-then true only when a is one of the bounds' first members, which it tests
-directly.
+a <= bs is confirmed by exhausting a's subordinals, which needs a finite
+arity that fits the width, or, when the scan cannot exhaust them, by a being
+one of the bounds' first width members: member i of a bound b is below b,
+by lt_intro with the selection {i} and a <= a, so it is below bs.  a <= bs
+is refuted only through a refuted a' < bs, which needs the bounds to have a
+cover (a largest witness selection).  When a has no finite arity and the
+bounds no cover, the engine answers width-truncated at once instead of
+spending its budget, without asking membership; a < bs is then true only
+when a is one of the bounds' first members, which it tests directly.
 
 On finitary names both relations come down to comparing tree heights, so
 the engine reads a finitary verdict off the heights in one step at any fuel
@@ -235,10 +238,11 @@ class _Bounds:
     cover of None (some bound has no finite arity) means no selection is
     largest, so nothing is refuted against these bounds, and a query that
     only a refutation could settle is unknown at every budget.  selections
-    holds the witness selections built so far, by size, and tables the
-    bounds' member tables once first read."""
+    holds the witness selections built so far, by size, tables the bounds'
+    member tables once first read, and rows how many rows every table is
+    known to hold (or to have no more members past)."""
 
-    __slots__ = ("bs", "cover", "height", "selections", "tables")
+    __slots__ = ("bs", "cover", "height", "selections", "tables", "rows")
 
     def __init__(self, bs: tuple, cover: Optional[int],
                  height: Optional[int]):
@@ -247,6 +251,7 @@ class _Bounds:
         self.height = height
         self.selections: dict = {}
         self.tables: Optional[list] = None
+        self.rows = 0
 
 
 class _Rows:
@@ -328,11 +333,14 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     return rec
 
 
-def _pull_rows(tables: list, n: int, a: Optional[OrdName] = None) -> int:
-    """Grow the tables through the bound set's row n-1, a row at a time and
-    index-major, from the first row that one of them lacks.  Stop after the
-    first such row that holds a, whichever bound's generator pulled it, and
-    return its number, or n when none does."""
+def _pull_rows(rec: _Bounds, n: int, a: Optional[OrdName] = None) -> int:
+    """Grow the bounds' tables through the bound set's row n-1, a row at a
+    time and index-major, from the first row that one of them lacks.  Stop
+    after the first such row that holds a, whichever bound's generator
+    pulled it, and return its number, or n when none does."""
+    if n <= rec.rows:
+        return n
+    tables = _tables_of(rec)
     short = [t for t in tables if len(t.members) < n
              and (t.name.arity is None or len(t.members) < t.name.arity)]
     for r in range(min([len(t.members) for t in short], default=n), n):
@@ -341,7 +349,9 @@ def _pull_rows(tables: list, n: int, a: Optional[OrdName] = None) -> int:
             t.grow(r + 1)
             hit = hit or r < len(t.members) and t.members[r] is a
         if hit:
+            rec.rows = r + 1
             return r
+    rec.rows = n
     return n
 
 
@@ -370,7 +380,7 @@ def _selection(rec: _Bounds, m: int):
     hit = rec.selections.get(m)
     if hit is None:
         tables = _tables_of(rec)
-        _pull_rows(tables, m)
+        _pull_rows(rec, m)
         prev = rec.selections.get(m - 1)
         sel, sel_key = prev or ((), frozenset())
         rows = [t.members[r] for r in range(m - 1 if prev else 0, m)
@@ -395,7 +405,7 @@ def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
                 default=top)
     # pull the rows up to the first that holds a where a table lacks them
     end = min(found + 1, top)
-    return _pull_rows(tables, end, a) < end or found < top
+    return _pull_rows(rec, end, a) < end or found < top
 
 
 def _by_height(a: OrdName, bs: tuple, rhs_key: frozenset,
@@ -543,6 +553,8 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     if a.arity is None and rec.cover is None:
         # True needs a's subordinals exhausted, so a finite arity; False
         # needs an _lt refutation, so a cover.  No scan can settle this.
+        # Membership could confirm it, but is left unasked here: it would
+        # pull up to width rows, and a failing generator's among them
         return _unknown(WIDTH_TRUNCATED)
     # the scan exhausts a's subordinals only when its arity fits the width
     exhausted = a.arity is not None and a.arity <= width
@@ -552,6 +564,12 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # finitary bounds: a member as high as they are is not below them
         _memo[key] = False
         return FALSE
+    if not exhausted and _in_prefix(a, rec, width):
+        # the scan cannot exhaust a, but a is member i of a bound b, so
+        # a < b by lt_intro with the selection {i} and a <= a, and a <= bs;
+        # a member found at one width is found at every larger one
+        _memo[key] = True
+        return TRUE
     pending: Optional[TriBool] = None
     for i in range(n):
         r = _lt(child(a, i), bs, rhs_key, width, depth - 1, budget)

@@ -305,10 +305,15 @@ class Node(OrdName):
 # ident): structurally equal constructions return the same object.
 _intern: dict = {}
 
-# Provenance of non-interned sup results, so sup_decomposition (the argument
-# check of the certificate builders that take a sup) can recognize a
-# flattened node without guessing its decomposition.  Keyed by the node
-# object itself; interned nodes are recomputable instead.
+# Sups of finitely many members, not all finitely branching, interned by
+# their member tuple: the same members always flatten to the same tree, so
+# one diagonal node, and one member store, serves every sup of them.
+_sups: dict = {}
+
+# Provenance of sup results that are not finitary, so sup_decomposition (the
+# argument check of the certificate builders that take a sup) can recognize
+# a flattened node without guessing its decomposition.  Keyed by the node
+# object itself; finitary nodes are recomputable instead.
 _sup_members: "weakref.WeakKeyDictionary[OrdName, tuple]" = weakref.WeakKeyDictionary()
 
 
@@ -463,11 +468,13 @@ def _sup_of_members(members: tuple) -> OrdName:
         if not node.is_finitary:
             _sup_members[node] = members
         return node
-    node = _sup_diagonal(members)
-    _sup_members[node] = members
-    hints = [cnf.of(m) for m in members]
-    if None not in hints:
-        node.cnf = cnf.top(hints)
+    node = _sups.get(members)
+    if node is None:
+        node = _sups[members] = _sup_diagonal(members)
+        _sup_members[node] = members
+        hints = [cnf.of(m) for m in members]
+        if None not in hints:
+            node.cnf = cnf.top(hints)
     return node
 
 

@@ -23,6 +23,7 @@ GOLDEN_CASES = {
     "cmp_w_1pw_kernel.txt": (["cmp", "w", "1+w", "--kernel"], 0),
     "cmp_1_2_emit.txt": (["cmp", "1", "2", "--emit-cert"], 0),
     "cmp_300_301.txt": (["cmp", "300", "301"], 0),
+    "cmp_wp1_w.txt": (["cmp", "w+1", "w"], 0),
     "tree_3.txt": (["tree", "3", "--mu-bound", "4"], 0),
     "tree_w.txt": (["tree", "w", "--mu-bound", "3"], 0),
     "demo_lpo_opaque.txt": (["demo", "lpo", "--prefix", "001",
@@ -240,6 +241,19 @@ class TestCliContract:
             assert (code, out) == (2, "")
             assert err == ("error: expression builds a name too deep to"
                            " represent\n")
+
+    def test_a_sup_equals_itself(self):
+        # the same members build the same sup, so each side is the other
+        code, out, _ = run_cli(["cmp", "sup(w,3)", "sup(w,3)"])
+        assert code == 0
+        assert out.endswith("verdict eq\n")
+
+    def test_a_member_is_below_its_successor(self):
+        # w*2 is a member of w*2+1: le is confirmed beside lt
+        code, out, _ = run_cli(["cmp", "w*2", "w*2+1"])
+        assert code == 0
+        assert out.startswith("le true\n")
+        assert "lt true\n" in out
 
     def test_unknown_without_kernel_exits_3(self):
         code, out, _ = run_cli(["cmp", "w*2", "w+w"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from ordcalc import compare, names, oracle
+from ordcalc.expr import lower, parse_expr
 from ordcalc.names import (Family, Fin, IllFoundedError, NAT, ZERO, BitSeq,
                            eps_lpo, filtering, fold, max_fin_width, mk_node,
                            mk_zero, omega, structural_depth, subordinals, suc,
@@ -146,6 +147,13 @@ class TestSupFinite:
         members = (und(2), und(3))
         s = sup_finite(members)
         assert sup_decomposition(s, members)
+
+    def test_sup_of_the_same_members_is_built_once(self):
+        s = lower(parse_expr("sup(w,3)"))
+        assert lower(parse_expr("sup(w,3)")) is s
+        assert sup_finite([omega(), und(3)]) is s
+        assert sup_decomposition(s, (omega(), und(3)))
+        assert not sup_decomposition(s, (und(3), omega()))
 
     def test_decomposition_of_a_family_sup_is_not_a_tuple(self):
         f = Family.from_generator(lambda n: und(n + 1))
