@@ -48,7 +48,10 @@ no cover, where a < bs can only be confirmed, the widest selection the
 width allows is the only one asked, provided it has a cover itself.  When
 it has none, the selections are scanned in turn: asked alone, it would ask
 the widest selection of its own members, and so on, each bound set a width
-times larger than the last and built outside the step budget.
+times larger than the last and built outside the step budget.  A
+selection is itself a bound set: its record, cover and height, is measured
+from its names like any other's, so the member tables keep only running
+heights.
 """
 
 from __future__ import annotations
@@ -258,22 +261,21 @@ class _Rows:
     """One name's member table, read by every bound set that holds it:
     members is the name's own store (``pulled``), member r at r, pulled once
     and in order by whoever asks first; grow only pulls.  Row r of a bound
-    set is member r of each of its bounds that has one.  Running maxima over
-    members 0..r, measured on demand, since a membership scan reads none:
-    cover[r] of the arities (None once one has none), and height[r] of the
-    heights, kept only for as long as every member is finitary.
+    set is member r of each of its bounds that has one.  height[r] is the
+    largest height among members 0..r, measured on demand, since a
+    membership scan reads none, and only up to the first member that is not
+    finitary.
 
     The certificate search reads the table too: forms[r] is the largest
     Cantor normal form among members 0..r, members without one not counted
     (None while none has one), measured by reach alone: the engine never
     reads forms."""
 
-    __slots__ = ("name", "members", "cover", "height", "forms")
+    __slots__ = ("name", "members", "height", "forms")
 
     def __init__(self, name: OrdName):
         self.name = name
         self.members = name.pulled
-        self.cover: list = []
         self.height: list = []
         self.forms: list = []
 
@@ -287,14 +289,14 @@ class _Rows:
             child(self.name, len(members))
 
     def measure(self) -> None:
-        """Extend the running maxima over the members pulled so far."""
-        cover, height = self.cover, self.height
-        for r, m in enumerate(self.members[len(cover):], len(cover)):
-            c = cover[-1] if r else 0
-            cover.append(None if c is None or m.arity is None
-                         else max(c, m.arity))
-            if len(height) == r and m.height is not None:
-                height.append(max(height[-1], m.height) if r else m.height)
+        """Extend the running heights over the members pulled so far, up to
+        the first that is not finitary."""
+        height, members = self.height, self.members
+        for r in range(len(height), len(members)):
+            h = members[r].height
+            if h is None:
+                return
+            height.append(max(height[-1], h) if r else h)
 
 
 def _table(b: OrdName) -> _Rows:
@@ -355,28 +357,13 @@ def _pull_rows(rec: _Bounds, n: int, a: Optional[OrdName] = None) -> int:
     return n
 
 
-def _maxima(tables: list, r: int) -> tuple:
-    """The bound set's running (cover, height) at row r, its tables holding
-    that row: the largest of each bound's at row min(r, arity - 1).  height
-    is None once a member in rows 0..r is not finitary."""
-    cover, height = 0, 0
-    for t in tables:
-        t.measure()
-        i = min(r, len(t.members) - 1)
-        c = t.cover[i]
-        cover = None if cover is None or c is None else max(cover, c)
-        height = (max(height, t.height[i])
-                  if height is not None and i < len(t.height) else None)
-    return cover, height
-
-
 def _selection(rec: _Bounds, m: int):
     """The m-th witness selection for these bounds: each member contributes
     its subordinal prefix of length m (clamped to the member's own arity),
     that is, the bound set's first m rows, each name kept once.  Built once
     per bound set (from selection m-1 when built), since every scan against
     the same bounds retries the same selections; its own record is filed
-    from the bounds' running maxima at row m-1."""
+    by _bounds, measured from its names like any bound set's."""
     hit = rec.selections.get(m)
     if hit is None:
         tables = _tables_of(rec)
@@ -390,8 +377,7 @@ def _selection(rec: _Bounds, m: int):
         if len(sel_key) < len(sel):
             sel = _distinct(sel)
         hit = rec.selections[m] = (sel, sel_key)
-        if sel_key not in _sel_cache:
-            _sel_cache[sel_key] = _Bounds(sel, *_maxima(tables, m - 1))
+        _bounds(sel, sel_key)
     return hit
 
 
@@ -455,7 +441,7 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
     known, first, reached = top, top, False
     for t in tables:
         n = len(t.members)
-        if len(t.cover) < n:
+        if len(t.height) < n:
             t.measure()
         # running maxima never fall, so the rows measured so far are searched
         lim = min(top, len(t.height))
@@ -646,8 +632,7 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # asks from nesting inside each other
         for t in _tables_of(rec):
             t.grow(top)
-            t.measure()
-            if t.cover[min(top, len(t.members)) - 1] is None:
+            if None in [m.arity for m in t.members[:top]]:
                 break
         else:
             start = top

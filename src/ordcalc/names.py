@@ -15,7 +15,6 @@ once, in its store (``pulled``), which the comparison engine reads.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import cnf
@@ -106,12 +105,11 @@ class Family:
     waits in ``_ahead`` until the list reaches it.  ``const_from`` marks a
     family whose members stabilize: for i >= const_from, at(i) returns
     at(const_from) itself.  The wrapper enforces this, which is what lets
-    bounded search treat such a family as exhaustible.  Only naturally
-    indexed families draw an ``ident`` (shown by repr); a finite one's is
-    None.
+    bounded search treat such a family as exhaustible.  A family draws no
+    ``ident``: a name's identity lives on its node.
     """
 
-    __slots__ = ("index", "ident", "const_from", "_members", "_gen", "_ahead")
+    __slots__ = ("index", "const_from", "_members", "_gen", "_ahead")
 
     def __init__(self, index: Index, members: Union[tuple, list],
                  gen: Optional[Callable[[int], "OrdName"]],
@@ -120,9 +118,7 @@ class Family:
         self.const_from = const_from
         self._members = members
         self._gen = gen
-        self.ident = self._ahead = None
-        if gen is not None:
-            self.ident, self._ahead = _fresh_ident(), {}
+        self._ahead = None if gen is None else {}
 
     @staticmethod
     def from_children(children: Sequence["OrdName"]) -> "Family":
@@ -161,9 +157,7 @@ class Family:
         return hit
 
     def __repr__(self) -> str:
-        if self.ident is None:
-            return f"<family {self.index!r}>"
-        return f"<family {self.index!r} #{self.ident}>"
+        return f"<family {self.index!r}>"
 
 
 def map_family(fam: Family, fn: Callable[["OrdName"], "OrdName"]) -> Family:
@@ -206,8 +200,7 @@ class OrdName:
       search only, and nothing checks it.
     """
 
-    __slots__ = ("ident", "index", "arity", "height", "width", "stack", "cnf",
-                 "__weakref__")
+    __slots__ = ("ident", "index", "arity", "height", "width", "stack", "cnf")
 
     @property
     def is_zero(self) -> bool:
@@ -305,16 +298,13 @@ class Node(OrdName):
 # ident): structurally equal constructions return the same object.
 _intern: dict = {}
 
-# Sups of finitely many members, not all finitely branching, interned by
-# their member tuple: the same members always flatten to the same tree, so
-# one diagonal node, and one member store, serves every sup of them.
+# Sups whose members are not all finitely branching, interned by their
+# member tuple, or over the naturals by their Family: the same members
+# always flatten to the same tree, so one diagonal node, and one member
+# store, serves every sup of them.  It is also the record sup_decomposition
+# (the argument check of the certificate builders that take a sup) reads;
+# a sup of finitely branching members is recomputed instead.
 _sups: dict = {}
-
-# Provenance of sup results that are not finitary, so sup_decomposition (the
-# argument check of the certificate builders that take a sup) can recognize
-# a flattened node without guessing its decomposition.  Keyed by the node
-# object itself; finitary nodes are recomputable instead.
-_sup_members: "weakref.WeakKeyDictionary[OrdName, tuple]" = weakref.WeakKeyDictionary()
 
 
 def mk_zero() -> OrdName:
@@ -444,12 +434,12 @@ def sup_order(members) -> Iterator[tuple]:
 
 def sup_family(family: Family) -> OrdName:
     """Flatten an indexed family of nonzero names into one node, its
-    subordinals listed in sup_order."""
+    subordinals listed in sup_order.  The same family's sup is one node."""
     if isinstance(family.index, Fin):
-        members = tuple(family.at(j) for j in range(family.index.size))
-        return _sup_of_members(members)
-    node = _sup_diagonal(family)
-    _sup_members[node] = family
+        return _sup_of_members(tuple(family._members))
+    node = _sups.get(family)
+    if node is None:
+        node = _sups[family] = _sup_diagonal(family)
     return node
 
 
@@ -464,14 +454,10 @@ def _sup_of_members(members: tuple) -> OrdName:
         flat: list = []
         for m in members:
             flat.extend(m._members)
-        node = _node_fin(tuple(flat))
-        if not node.is_finitary:
-            _sup_members[node] = members
-        return node
+        return _node_fin(tuple(flat))
     node = _sups.get(members)
     if node is None:
         node = _sups[members] = _sup_diagonal(members)
-        _sup_members[node] = members
         hints = [cnf.of(m) for m in members]
         if None not in hints:
             node.cnf = cnf.top(hints)
@@ -503,18 +489,21 @@ def sup_finite(alphas: Sequence[OrdName]) -> OrdName:
 def sup_decomposition(alpha: OrdName, members) -> bool:
     """Does alpha denote the flattened sup of exactly these members?
 
-    Finitary claims are recomputed and compared; other nodes are matched
-    against their recorded construction.  A Family argument asks whether
-    alpha is that family's sup.
+    When every member is finitely branching the sup is recomputed, which
+    interns the same node; otherwise alpha must be the sup ``_sups`` holds
+    for these members.  A finite Family counts as its member tuple, and a
+    natural one asks whether alpha is that family's sup.
     """
     if isinstance(members, Family):
-        return _sup_members.get(alpha) is members
+        if members.index is NAT:
+            return _sups.get(members) is alpha
+        members = members._members
     members = tuple(m for m in members if not m.is_zero)
     if not members:
         return alpha.is_zero
-    if all(m.is_finitary for m in members) and alpha.is_finitary:
+    if all(isinstance(m.index, Fin) for m in members):
         return _sup_of_members(members) is alpha
-    return _sup_members.get(alpha) == members
+    return _sups.get(members) is alpha
 
 
 # ---------------------------------------------------------------------------

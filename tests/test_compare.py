@@ -286,6 +286,24 @@ class TestMemberTable:
         assert (v.value, v.reason, evals) == (None, STEPS_EXHAUSTED, 300)
         assert calls[0] <= 5_000
 
+    def test_every_record_is_measured_from_its_names(self):
+        # a witness selection is a bound set too: its record holds the
+        # largest arity and height of its names, as every record does
+        q = {t: lower(parse_expr(t))
+             for t in "w w+1 w+2 w+3 w*2 w*2+1 w^w".split()}
+        clear_memo()
+        lt(q["w+2"], [q["w^w"]], Fuel(steps=300))
+        lt(q["w+1"], [q["w*2"]])
+        le(q["w"], [q["w+2"]], Fuel(steps=50))
+        lt(und(300), [q["w*2"]], Fuel(steps=300))
+        lt(q["w+3"], [q["w*2+1"]], Fuel(steps=300))
+        assert len(compare._sel_cache) >= 300
+        for rec in compare._sel_cache.values():
+            arities = [b.arity for b in rec.bs]
+            heights = [b.height for b in rec.bs]
+            assert rec.cover == (None if None in arities else max(arities))
+            assert rec.height == (None if None in heights else max(heights))
+
     def test_member_as_high_as_finitary_bounds_refutes(self):
         w = omega()
         for rel, bound in ((le, und(9)), (lt, und(10))):

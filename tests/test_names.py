@@ -161,6 +161,25 @@ class TestSupFinite:
         assert sup_decomposition(s, f)
         assert not sup_decomposition(s, (und(1),))
 
+    def test_decomposition_does_not_depend_on_what_was_built_before(self):
+        # (w, 3) is the flattened sup of (suc(w), suc(3)) and of itself
+        w = omega()
+        members = (suc(w), suc(und(3)))
+        n = sup_finite(members)
+        assert sup_decomposition(n, members)
+        assert sup_finite((suc_list([w, und(3)]),)) is n
+        assert sup_decomposition(n, members)
+
+    def test_decomposition_of_a_finite_family_sup(self):
+        for f in (Family.from_children([und(1), und(2)]),
+                  Family.from_children([omega(), und(3)])):
+            assert sup_decomposition(sup_family(f), f)
+
+    def test_sup_of_the_same_natural_family_is_built_once(self):
+        h = Family.from_generator(lambda n: und(n + 1))
+        assert sup_family(h) is sup_family(h)
+        assert sup_decomposition(sup_family(h), h)
+
 
 _STEADY = mk_node(Family.from_generator(und, const_from=2))
 
