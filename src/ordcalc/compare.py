@@ -12,8 +12,9 @@ from a counterexample or an exhausted witness space.  Every budget truncation
 yields Unknown, tagged with what ran out; once the step budget is spent, that
 reason is reported over any width or depth truncation met on the way.
 Definite verdicts are monotone in the fuel.  Those a scan reaches are
-cached; those read off heights (below) are not, since reading the heights
-again costs no more than a lookup; Unknown is never cached.
+cached in the one record the engine keeps per bound set, keyed by lhs;
+those read off heights (below) are not, since reading the heights again
+costs no more than a lookup; Unknown is never cached.
 
 An Unknown can also mean that no scan at any budget settles the question.
 a <= bs is confirmed by exhausting a's subordinals, which needs a finite
@@ -30,16 +31,17 @@ On finitary names both relations come down to comparing tree heights, so
 the engine reads a finitary verdict off the heights in one step at any fuel
 that allows a step, storing no memo entry and no bound record: the fuel
 bounds scans, not what heights settle.  The same holds one level up: when a
-scan's selections or members are finitary, the engine reads them off member
-tables, one per name, holding its members with their running largest
-height; row r of a bound set is member r of each bound.  A finitary
-a < bs is true at the first selection that reaches a's height and false
-when the covering one stays below it; a <= bs with finitary bounds is false
-at the first member of a as high as they are.  Each such scan costs one
-step instead of one per selection or member, and reads no row past the
-scan's width.  The certificate search reads the tables too, for the running
-largest Cantor normal form of a name's members (``reach``); no verdict
-reads a form.
+scan's selections or members are finitary, the engine reads them off each
+name's own store of members and the running largest height that the name
+keeps beside it (``pulled`` and ``heights``); row r of a bound set is member
+r of each bound.  A finitary a < bs is true at the first selection that
+reaches a's height and false when the covering one stays below it;
+a <= bs with finitary bounds is false at the first member of a as high as
+they are.  Each such scan costs one step instead of one per selection or
+member, and reads no row past the scan's width.  The certificate search
+reads a name's running largest Cantor normal form of its members too
+(``forms``, through ``reach``); no verdict reads a form.  Running maxima
+are facts about the name, so clear_memo leaves them.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -50,8 +52,7 @@ it has none, the selections are scanned in turn: asked alone, it would ask
 the widest selection of its own members, and so on, each bound set a width
 times larger than the last and built outside the step budget.  A
 selection is itself a bound set: its record, cover and height, is measured
-from its names like any other's, so the member tables keep only running
-heights.
+from its names like any other's, so the names keep only running maxima.
 """
 
 from __future__ import annotations
@@ -199,25 +200,20 @@ class Judgment(_JudgmentFields):
         return f"{self.lhs!r} {op} {list(self.rhs)!r}"
 
 
-# definite verdicts only, keyed by (kind, lhs ident, rhs ident set)
-_memo: dict = {}
-# per rhs ident set: its _Bounds record
+# per rhs ident set: its _Bounds record, which holds the set's verdicts
 _sel_cache: dict = {}
-# per name ident: its member table, a _Rows
-_tables: dict = {}
 _stats = {"evals": 0, "hits": 0}
 
 
 def clear_memo() -> None:
-    _memo.clear()
     _sel_cache.clear()
-    _tables.clear()
     _stats["evals"] = 0
     _stats["hits"] = 0
 
 
 def memo_stats() -> dict:
-    return {"evals": _stats["evals"], "hits": _stats["hits"], "entries": len(_memo)}
+    entries = sum(len(r.le) + len(r.lt) for r in _sel_cache.values())
+    return {"evals": _stats["evals"], "hits": _stats["hits"], "entries": entries}
 
 
 def child(a: OrdName, i: int) -> OrdName:
@@ -240,77 +236,56 @@ class _Bounds:
     size, and, when every bound is finitary, the bounds' largest height.  A
     cover of None (some bound has no finite arity) means no selection is
     largest, so nothing is refuted against these bounds, and a query that
-    only a refutation could settle is unknown at every budget.  selections
-    holds the witness selections built so far, by size, tables the bounds'
-    member tables once first read, and rows how many rows every table is
-    known to hold (or to have no more members past)."""
+    only a refutation could settle is unknown at every budget.  tables
+    holds the bounds with members, each once, whose stores and running
+    heights the scans read; selections the witness selections built so far,
+    by size; rows how many rows every bound is known to hold (or to have no
+    more members past); le and lt the definite verdicts of scans against
+    these bounds, keyed by lhs ident."""
 
-    __slots__ = ("bs", "cover", "height", "selections", "tables", "rows")
+    __slots__ = ("tables", "cover", "height", "selections", "rows", "le",
+                 "lt")
 
-    def __init__(self, bs: tuple, cover: Optional[int],
-                 height: Optional[int]):
-        self.bs = bs
-        self.cover = cover
-        self.height = height
+    def __init__(self, bs: tuple):
+        arities = [b.arity for b in bs]
+        heights = [b.height for b in bs]
+        self.tables = [b for b in bs if b.arity != 0]
+        self.cover = None if None in arities else max(arities)
+        self.height = None if None in heights else max(heights)
         self.selections: dict = {}
-        self.tables: Optional[list] = None
         self.rows = 0
+        self.le: dict = {}
+        self.lt: dict = {}
 
 
-class _Rows:
-    """One name's member table, read by every bound set that holds it:
-    members is the name's own store (``pulled``), member r at r, pulled once
-    and in order by whoever asks first; grow only pulls.  Row r of a bound
-    set is member r of each of its bounds that has one.  height[r] is the
-    largest height among members 0..r, measured on demand, since a
-    membership scan reads none, and only up to the first member that is not
-    finitary.
-
-    The certificate search reads the table too: forms[r] is the largest
-    Cantor normal form among members 0..r, members without one not counted
-    (None while none has one), measured by reach alone: the engine never
-    reads forms."""
-
-    __slots__ = ("name", "members", "height", "forms")
-
-    def __init__(self, name: OrdName):
-        self.name = name
-        self.members = name.pulled
-        self.height: list = []
-        self.forms: list = []
-
-    def grow(self, n: int) -> None:
-        """Pull members until the table holds the first n, or all of them
-        when the name has fewer."""
-        if self.name.arity is not None:
-            n = min(n, self.name.arity)
-        members = self.members
-        while len(members) < n:
-            child(self.name, len(members))
-
-    def measure(self) -> None:
-        """Extend the running heights over the members pulled so far, up to
-        the first that is not finitary."""
-        height, members = self.height, self.members
-        for r in range(len(height), len(members)):
-            h = members[r].height
-            if h is None:
-                return
-            height.append(max(height[-1], h) if r else h)
+def _grow(b: OrdName, n: int) -> None:
+    """Pull b's members until its store holds the first n, or all of them
+    when b has fewer."""
+    if b.arity is not None:
+        n = min(n, b.arity)
+    members = b.pulled
+    while len(members) < n:
+        child(b, len(members))
 
 
-def _table(b: OrdName) -> _Rows:
-    """b's member table, made on first use."""
-    t = _tables.get(b.ident)
-    if t is None:
-        t = _tables[b.ident] = _Rows(b)
-    return t
+def _more(b: OrdName) -> bool:
+    """May b have members past those its store holds?"""
+    return b.arity is None or len(b.pulled) < b.arity
 
 
-def _tables_of(rec: _Bounds) -> list:
-    if rec.tables is None:
-        rec.tables = [_table(b) for b in rec.bs if b.arity != 0]
-    return rec.tables
+def _measure(b: OrdName) -> list:
+    """b's running heights, extended over the members pulled so far, up to
+    the first that is not finitary."""
+    heights, members = b.heights, b.pulled
+    for r in range(len(heights), len(members)):
+        h = members[r].height
+        if h is None:
+            break
+        if r:
+            heights.append(max(heights[-1], h))
+        else:
+            heights = b.heights = [h]
+    return heights
 
 
 def _distinct(bs: tuple) -> tuple:
@@ -327,29 +302,24 @@ def _bounds(bs: tuple, rhs_key: frozenset) -> _Bounds:
     if rec is None:
         if len(rhs_key) < len(bs):
             bs = _distinct(bs)
-        arities = [b.arity for b in bs]
-        heights = [b.height for b in bs]
-        rec = _sel_cache[rhs_key] = _Bounds(
-            bs, None if None in arities else max(arities),
-            None if None in heights else max(heights))
+        rec = _sel_cache[rhs_key] = _Bounds(bs)
     return rec
 
 
 def _pull_rows(rec: _Bounds, n: int, a: Optional[OrdName] = None) -> int:
-    """Grow the bounds' tables through the bound set's row n-1, a row at a
+    """Grow the bounds' stores through the bound set's row n-1, a row at a
     time and index-major, from the first row that one of them lacks.  Stop
     after the first such row that holds a, whichever bound's generator
     pulled it, and return its number, or n when none does."""
     if n <= rec.rows:
         return n
-    tables = _tables_of(rec)
-    short = [t for t in tables if len(t.members) < n
-             and (t.name.arity is None or len(t.members) < t.name.arity)]
-    for r in range(min([len(t.members) for t in short], default=n), n):
+    short = [b for b in rec.tables if len(b.pulled) < n
+             and (b.arity is None or len(b.pulled) < b.arity)]
+    for r in range(min([len(b.pulled) for b in short], default=n), n):
         hit = False
-        for t in short:
-            t.grow(r + 1)
-            hit = hit or r < len(t.members) and t.members[r] is a
+        for b in short:
+            _grow(b, r + 1)
+            hit = hit or r < len(b.pulled) and b.pulled[r] is a
         if hit:
             rec.rows = r + 1
             return r
@@ -366,12 +336,11 @@ def _selection(rec: _Bounds, m: int):
     by _bounds, measured from its names like any bound set's."""
     hit = rec.selections.get(m)
     if hit is None:
-        tables = _tables_of(rec)
         _pull_rows(rec, m)
         prev = rec.selections.get(m - 1)
         sel, sel_key = prev or ((), frozenset())
-        rows = [t.members[r] for r in range(m - 1 if prev else 0, m)
-                for t in tables if r < len(t.members)]
+        rows = [b.pulled[r] for r in range(m - 1 if prev else 0, m)
+                for b in rec.tables if r < len(b.pulled)]
         sel += tuple(rows)
         sel_key = sel_key.union([x.ident for x in rows])
         if len(sel_key) < len(sel):
@@ -383,25 +352,23 @@ def _selection(rec: _Bounds, m: int):
 
 def _in_prefix(a: OrdName, rec: _Bounds, top: int) -> bool:
     """Is a one of the first top members of some bound, that is, a member of
-    one of the first top selections?  Read off the bounds' tables without
+    one of the first top selections?  Read off the bounds' stores without
     building the selections, pulling rows in the order the selections take
     them, and none past the first row that holds a."""
-    tables = _tables_of(rec)
-    found = min([t.members.index(a) for t in tables if a in t.members],
+    found = min([b.pulled.index(a) for b in rec.tables if a in b.pulled],
                 default=top)
-    # pull the rows up to the first that holds a where a table lacks them
+    # pull the rows up to the first that holds a where a store lacks them
     end = min(found + 1, top)
     return _pull_rows(rec, end, a) < end or found < top
 
 
-def _by_height(a: OrdName, bs: tuple, rhs_key: frozenset,
+def _by_height(a: OrdName, bs: tuple, rec: Optional[_Bounds],
                strict: bool) -> Optional[bool]:
     """The verdict on finitary a against these bounds, read off the tree
     heights, or None when a bound is not finitary.  On finitary names
     a <= bs exactly when a is no taller than the tallest bound, and a < bs
     when it is shorter, whatever the fuel.  The bounds' height is their
     record's when one was made, else read off the bounds, making none."""
-    rec = _sel_cache.get(rhs_key)
     if rec is not None:
         top = rec.height
         if top is None:
@@ -430,49 +397,47 @@ def _read(quick: bool, depth: int, budget: list) -> TriBool:
 
 
 def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
-    """Read a bound set's first top rows off its bounds' tables while every
-    member is finitary: the number n of rows whose running height stays
-    below target, and whether row n reaches it.  The set stops or reaches
-    at the first row where one of its bounds does, so each table's measured
-    rows are bisected; past the rows all tables hold, the tables that lack
-    a row grow by it, a row at a time, and none past row n.  The selections
-    up to row n are what _by_height would refute against a target-high
-    lhs, and the one ending at row n what it would confirm."""
+    """Read a bound set's first top rows off its bounds' running heights
+    while every member is finitary: the number n of rows whose running
+    height stays below target, and whether row n reaches it.  The set stops
+    or reaches at the first row where one of its bounds does, so each
+    bound's measured rows are bisected; past the rows all bounds hold, the
+    bounds that lack a row grow by it, a row at a time, and none past row
+    n.  The selections up to row n are what _by_height would refute against
+    a target-high lhs, and the one ending at row n what it would confirm."""
     known, first, reached = top, top, False
-    for t in tables:
-        n = len(t.members)
-        if len(t.height) < n:
-            t.measure()
+    for b in tables:
+        n = len(b.pulled)
+        heights = b.heights
+        if len(heights) < n:
+            heights = _measure(b)
         # running maxima never fall, so the rows measured so far are searched
-        lim = min(top, len(t.height))
-        reach = bisect_left(t.height, target, 0, lim)
+        lim = min(top, len(heights))
+        reach = bisect_left(heights, target, 0, lim)
         if reach < lim and reach < first:
             first, reached = reach, True
         elif lim <= first and lim < n:
             # member lim is not finitary
             first, reached = lim, False
-        if n < known and (t.name.arity is None or n < t.name.arity):
+        if n < known and _more(b):
             known = n
     if first < known:
         return first, reached
-    # every row a table holds is settled above; from row known on, row r is
-    # read in every table that has it, since another bound's generator may
-    # have pulled it, and a table with no more members is dropped
-    def more(t: _Rows) -> bool:
-        return t.name.arity is None or len(t.members) < t.name.arity
-
-    live = [t for t in tables if more(t)]
+    # every row a store holds is settled above; from row known on, row r is
+    # read in every bound that has it, since another bound's generator may
+    # have pulled it, and a bound with no more members is dropped
+    live = [b for b in tables if _more(b)]
     for r in range(known, min(first + 1, top)):
         stop = hit = done = False
-        for t in live:
-            t.grow(r + 1)
-            if r < len(t.members):
-                t.measure()
-                if len(t.height) == r:
+        for b in live:
+            _grow(b, r + 1)
+            if r < len(b.pulled):
+                heights = _measure(b)
+                if len(heights) == r:
                     stop = True
-                elif t.height[r] >= target:
+                elif heights[r] >= target:
                     hit = True
-            done = done or not more(t)
+            done = done or not _more(b)
         if stop:
             return r, False
         if r == first:
@@ -480,19 +445,18 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
         if hit:
             return r, True
         if done:
-            live = [t for t in live if more(t)]
+            live = [b for b in live if _more(b)]
     return top, False
 
 
 def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
     """The index of the first of b's first k members whose Cantor normal
     form is at least h, or None: what a scan of those members from index 0
-    would find, read off b's member table for the certificate search.  The
-    rows whose running largest form is measured are bisected; past them the
-    table grows one member at a time, and no member is pulled past the first
-    that reaches h.  Nothing the engine decides reads forms."""
-    rows = _table(b)
-    forms = rows.forms
+    would find, read off b's running largest forms for the certificate
+    search.  The rows whose running form is measured are bisected; past
+    them b's store grows one member at a time, and no member is pulled past
+    the first that reaches h.  Nothing the engine decides reads forms."""
+    forms = b.forms
     if b.arity is not None:
         k = min(k, b.arity)
     cmp = cnf.cmp
@@ -502,9 +466,11 @@ def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
                      key=lambda f: f is not None and cmp(f, h) >= 0)
     if lo < n:
         return lo
+    if not forms and k:
+        forms = b.forms = []
     for r in range(len(forms), k):
-        rows.grow(r + 1)
-        f = cnf.of(rows.members[r])
+        _grow(b, r + 1)
+        f = cnf.of(b.pulled[r])
         if f is not None and cmp(f, h) >= 0:
             # every form before it is below h, so it is the new maximum
             forms.append(f)
@@ -520,22 +486,24 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         budget: list) -> TriBool:
     if a.is_zero or a.ident in rhs_key:
         return TRUE
+    rec = _sel_cache.get(rhs_key)
     if a.height is not None:
-        quick = _by_height(a, bs, rhs_key, False)
+        quick = _by_height(a, bs, rec, False)
         if quick is not None:
             return _read(quick, depth, budget)
-    key = ("le", a.ident, rhs_key)
-    hit = _memo.get(key)
-    if hit is not None:
-        _stats["hits"] += 1
-        return TRUE if hit else FALSE
+    if rec is not None:
+        hit = rec.le.get(a.ident)
+        if hit is not None:
+            _stats["hits"] += 1
+            return TRUE if hit else FALSE
     if depth == 0:
         return _unknown(DEPTH_EXHAUSTED)
     if budget[0] <= 0:
         return _unknown(STEPS_EXHAUSTED)
     budget[0] -= 1
     _stats["evals"] += 1
-    rec = _bounds(bs, rhs_key)
+    if rec is None:
+        rec = _bounds(bs, rhs_key)
     if a.arity is None and rec.cover is None:
         # True needs a's subordinals exhausted, so a finite arity; False
         # needs an _lt refutation, so a cover.  No scan can settle this.
@@ -546,21 +514,21 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     exhausted = a.arity is not None and a.arity <= width
     n = a.arity if exhausted else width
     if (a.height is None and rec.height is not None
-            and _by_rows([_table(a)], rec.height, n)[1]):
+            and _by_rows([a], rec.height, n)[1]):
         # finitary bounds: a member as high as they are is not below them
-        _memo[key] = False
+        rec.le[a.ident] = False
         return FALSE
     if not exhausted and _in_prefix(a, rec, width):
         # the scan cannot exhaust a, but a is member i of a bound b, so
         # a < b by lt_intro with the selection {i} and a <= a, and a <= bs;
         # a member found at one width is found at every larger one
-        _memo[key] = True
+        rec.le[a.ident] = True
         return TRUE
     pending: Optional[TriBool] = None
     for i in range(n):
         r = _lt(child(a, i), bs, rhs_key, width, depth - 1, budget)
         if r.is_false:
-            _memo[key] = False
+            rec.le[a.ident] = False
             return FALSE
         if r.is_unknown and (pending is None or r.reason == STEPS_EXHAUSTED):
             pending = r
@@ -568,53 +536,55 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         return pending
     if not exhausted:
         return _unknown(WIDTH_TRUNCATED)
-    _memo[key] = True
+    rec.le[a.ident] = True
     return TRUE
 
 
 def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         budget: list) -> TriBool:
+    rec = _sel_cache.get(rhs_key)
     if a.height is not None:
-        quick = _by_height(a, bs, rhs_key, True)
+        quick = _by_height(a, bs, rec, True)
         if quick is not None:
             return _read(quick, depth, budget)
-    key = ("lt", a.ident, rhs_key)
-    hit = _memo.get(key)
-    if hit is not None:
-        _stats["hits"] += 1
-        return TRUE if hit else FALSE
+    if rec is not None:
+        hit = rec.lt.get(a.ident)
+        if hit is not None:
+            _stats["hits"] += 1
+            return TRUE if hit else FALSE
     if depth == 0:
         return _unknown(DEPTH_EXHAUSTED)
     if budget[0] <= 0:
         return _unknown(STEPS_EXHAUSTED)
     budget[0] -= 1
     _stats["evals"] += 1
-    rec = _bounds(bs, rhs_key)
+    if rec is None:
+        rec = _bounds(bs, rhs_key)
     cover = rec.cover
     if cover == 0:
-        _memo[key] = False
+        rec.lt[a.ident] = False
         return FALSE
     if a.arity is None and cover is None:
         # with no finite arity, a is below a selection only as one of its
         # members, and with no cover no refuted selection refutes a < bs:
         # only membership can give a verdict
         if _in_prefix(a, rec, width):
-            _memo[key] = True
+            rec.lt[a.ident] = True
             return TRUE
         return _unknown(WIDTH_TRUNCATED)
     top = width if cover is None else min(width, cover)
     start = 1
     if a.is_finitary:
         # the selections are tried in row order, and each one that the
-        # table reads is settled by heights: refuted while it stays below
-        # a, confirmed at the first row that reaches a
-        n, reached = _by_rows(_tables_of(rec), a.height, top)
+        # running heights read is settled by heights: refuted while it
+        # stays below a, confirmed at the first row that reaches a
+        n, reached = _by_rows(rec.tables, a.height, top)
         if reached:
-            _memo[key] = True
+            rec.lt[a.ident] = True
             return TRUE
         if n == top:
             if top == cover:
-                _memo[key] = False
+                rec.lt[a.ident] = False
                 return FALSE
             return _unknown(WIDTH_TRUNCATED)
         start = n + 1
@@ -622,17 +592,17 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # finitary bounds: a member of a as high as the covering selection
         # refutes it, and with it every selection
         n = a.arity if a.arity is not None and a.arity <= width else width
-        if _by_rows([_table(a)], rec.height - 1, n)[1]:
-            _memo[key] = False
+        if _by_rows([a], rec.height - 1, n)[1]:
+            rec.lt[a.ident] = False
             return FALSE
     if cover is None and start < top:
         # with no cover the scan can only confirm, and selection top holds
         # every smaller one: ask it alone when it has a cover itself, that
         # is, no member in rows 0..top-1 lacks an arity, which keeps such
         # asks from nesting inside each other
-        for t in _tables_of(rec):
-            t.grow(top)
-            if None in [m.arity for m in t.members[:top]]:
+        for b in rec.tables:
+            _grow(b, top)
+            if None in [m.arity for m in b.pulled[:top]]:
                 break
         else:
             start = top
@@ -642,7 +612,7 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         sel, sel_key = _selection(rec, m)
         r = _le(a, sel, sel_key, width, depth - 1, budget)
         if r.is_true:
-            _memo[key] = True
+            rec.lt[a.ident] = True
             return TRUE
         if m == cover:
             covering = r
@@ -652,7 +622,7 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # the covering prefix is the largest selection there is; a definite
         # refutation of it refutes every selection
         if covering.is_false:
-            _memo[key] = False
+            rec.lt[a.ident] = False
             return FALSE
         return covering
     return starved if starved is not None else _unknown(WIDTH_TRUNCATED)

@@ -924,9 +924,9 @@ def _steered(a: OrdName, bs: tuple, limit: int):
     """For each bound, the single-member selection of its first member
     (among the first limit) whose Cantor normal form reaches a's, when a and
     that member carry one.  Each bound's running largest form is kept on
-    its member table, the one the engine reads for that name
-    (compare.reach), so a goal bisects what earlier goals of the search
-    measured instead of rescanning the bound from index 0."""
+    the bound, beside the store the engine reads (compare.reach), so a goal
+    bisects what earlier goals of the search measured instead of rescanning
+    the bound from index 0."""
     ha = cnf.of(a)
     if ha is None:
         return

@@ -9,7 +9,8 @@ index sets are fresh per construction except for a few canonical constants.
 Every name object draws its own opaque integer ``ident``: names hash by it
 and compare by identity.  Identity implies observational equality; the
 converse holds only on the finitary fragment.  A name's members are held
-once, in its store (``pulled``), which the comparison engine reads.
+once, in its store (``pulled``), which the comparison engine reads, and the
+running maxima measured over them are kept beside it on the name.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class OrdName:
     """Base class: either the zero name or a node over a family.
 
     A name's shape is fixed when it is built, from its family and the names
-    built before it, and is recorded in six slots:
+    built before it, and is recorded in six slots (besides ``ident``):
 
     - ``index``: its index set, the shared ``fin(k)`` over k members (zero
       is over ``fin(0)``) or NAT;
@@ -198,6 +199,9 @@ class OrdName:
     - ``cnf``: on an infinitary name whose construction shows its Cantor
       normal form, that form (see ``cnf.of``), else None.  It is a hint for
       search only, and nothing checks it.
+
+    Every name also has a store ``pulled`` and running maxima ``heights``
+    and ``forms`` over it (see Node).
     """
 
     __slots__ = ("ident", "index", "arity", "height", "width", "stack", "cnf")
@@ -222,7 +226,7 @@ class OrdName:
 
 class _ZeroName(OrdName):
     __slots__ = ()
-    pulled: tuple = ()
+    pulled = heights = forms = ()
 
     def __new__(cls) -> "_ZeroName":
         inst = super().__new__(cls)
@@ -241,23 +245,32 @@ _NO_SUBORDINALS = Family(fin(0), (), None, None)
 
 
 class Node(OrdName):
-    """A node over a nonempty family.  Over Fin(k) its one extra slot holds
-    the tuple of its k members, and nothing else is kept; a Family is built
-    only when ``family`` is read.  Over the naturals the slot holds the
-    Family itself."""
+    """A node over a nonempty family.  Its store ``pulled`` holds the
+    members held so far in index order: over Fin(k) its k-tuple, and nothing
+    else is kept, a Family being built only when ``family`` is read; over
+    the naturals the list that its Family, kept in ``_family``, fills.
+    Beside the store sit the running maxima that readers measure on demand:
+    ``heights[r]``, the largest height among members 0..r, up to the first
+    member that is not finitary, and ``forms[r]``, the largest Cantor normal
+    form among them (None while none has one); both are () until measured.
+    One class serves both index sets, so that the engine's attribute reads
+    stay monomorphic."""
 
-    __slots__ = ("_members",)
+    __slots__ = ("pulled", "_family", "heights", "forms")
 
     def __init__(self, members: Union[tuple, Family]):
         self.ident = _fresh_ident()
-        self._members = members
-        self.height = self.width = self.cnf = None
+        self.height = self.width = self.cnf = self._family = None
+        self.heights = self.forms = ()
         self.stack = 0
         if isinstance(members, Family):
             self.index = NAT
+            self._family = members
+            self.pulled = members._members
             cf = members.const_from
             self.arity = None if cf is None else cf + 1
             return
+        self.pulled = members
         self.index = fin(len(members))
         self.arity = len(members)
         if len(members) == 1:
@@ -275,20 +288,13 @@ class Node(OrdName):
     @property
     def family(self) -> Family:
         if self.index is NAT:
-            return self._members
-        return Family(self.index, self._members, None, None)
-
-    @property
-    def pulled(self) -> Union[tuple, list]:
-        """The members held so far, in index order: the store itself, the
-        member tuple over Fin(k) or the family's list over the naturals."""
-        m = self._members
-        return m if self.index is not NAT else m._members
+            return self._family
+        return Family(self.index, self.pulled, None, None)
 
     def child(self, i: int) -> OrdName:
-        m = self._members
         if self.index is NAT:
-            return m.at(i)
+            return self._family.at(i)
+        m = self.pulled
         if isinstance(i, int) and 0 <= i < len(m):
             return m[i]
         raise IndexError(f"index {i!r} outside {self.index!r}")
@@ -298,12 +304,12 @@ class Node(OrdName):
 # ident): structurally equal constructions return the same object.
 _intern: dict = {}
 
-# Sups whose members are not all finitely branching, interned by their
-# member tuple, or over the naturals by their Family: the same members
-# always flatten to the same tree, so one diagonal node, and one member
-# store, serves every sup of them.  It is also the record sup_decomposition
-# (the argument check of the certificate builders that take a sup) reads;
-# a sup of finitely branching members is recomputed instead.
+# Sups of members not all of finite arity, interned by their member tuple,
+# or over the naturals by their Family: the same members always flatten to
+# the same tree, so one diagonal node, and one member store, serves every
+# sup of them.  It is also the record sup_decomposition (the argument check
+# of the certificate builders that take a sup) reads; a sup of members of
+# finite arity is the node _intern holds for their concatenation.
 _sups: dict = {}
 
 
@@ -377,11 +383,12 @@ def subordinals(alpha: OrdName) -> Family:
 
 class _PairStream:
     """Valid (member, position) pairs in diagonal order: diagonal d = j + i
-    with j ascending, skipping positions past a member's arity.  Some member
-    is always nonempty, so the stream never dries up while more pairs are
-    demanded.  The position is kept in plain fields and moves only past a
-    member whose arity was read, so a member that raises is read again on
-    the next pull, where a generator would have ended for good."""
+    with j ascending, skipping positions past a member's arity.  There are
+    infinitely many members or one has no finite arity, so the stream never
+    dries up while more pairs are demanded.  The position is kept in plain
+    fields and moves only past a member whose arity was read, so a member
+    that raises is read again on the next pull, where a generator would
+    have ended for good."""
 
     __slots__ = ("count", "arity", "d", "j")
 
@@ -420,14 +427,14 @@ def sup_order(members) -> Iterator[tuple]:
 
     members is a naturally indexed Family of nonzero names, or a tuple whose
     zero members contribute nothing, as in sup_finite.  Finitely many
-    finitely branching members are concatenated in member order; otherwise
-    the valid pairs are walked diagonally, an eventually constant member
-    contributing positions up to its constant point."""
+    members of finite arity are concatenated in member order, an eventually
+    constant member contributing positions up to its constant point;
+    otherwise the valid pairs are walked diagonally."""
     if isinstance(members, Family):
         return _PairStream(None, lambda j: _member_arity(members.at(j)))
     keep = [j for j, m in enumerate(members) if not m.is_zero]
-    if all(isinstance(m.index, Fin) for m in members):
-        return ((j, i) for j in keep for i in range(members[j].index.size))
+    if None not in [m.arity for m in members]:
+        return ((j, i) for j in keep for i in range(members[j].arity))
     walk = _PairStream(len(keep), lambda j: _member_arity(members[keep[j]]))
     return ((keep[j], i) for j, i in walk)
 
@@ -449,12 +456,9 @@ def _sup_of_members(members: tuple) -> OrdName:
     for m in members:
         if m.is_zero:
             raise ValueError("sup over a family containing zero")
-    if all(isinstance(m.index, Fin) for m in members):
-        # sup_order's concatenation, spelled out: this path is hot
-        flat: list = []
-        for m in members:
-            flat.extend(m._members)
-        return _node_fin(tuple(flat))
+    flat = _flat(members)
+    if flat is not None:
+        return _node_fin(flat)
     node = _sups.get(members)
     if node is None:
         node = _sups[members] = _sup_diagonal(members)
@@ -462,6 +466,21 @@ def _sup_of_members(members: tuple) -> OrdName:
         if None not in hints:
             node.cnf = cnf.top(hints)
     return node
+
+
+def _flat(members: tuple) -> Optional[tuple]:
+    """The subordinals of nonzero members in sup_order (a hot path) when
+    every member has a finite arity, else None; a natural member is pulled
+    through its constant point once no member is found to lack an arity."""
+    flat: list = []
+    for m in members:
+        if m.index is NAT:
+            if None in [x.arity for x in members]:
+                return None
+            for i in range(len(m.pulled), m.arity):
+                m.child(i)
+        flat.extend(m.pulled)
+    return tuple(flat)
 
 
 def _sup_diagonal(members) -> OrdName:
@@ -489,10 +508,11 @@ def sup_finite(alphas: Sequence[OrdName]) -> OrdName:
 def sup_decomposition(alpha: OrdName, members) -> bool:
     """Does alpha denote the flattened sup of exactly these members?
 
-    When every member is finitely branching the sup is recomputed, which
-    interns the same node; otherwise alpha must be the sup ``_sups`` holds
-    for these members.  A finite Family counts as its member tuple, and a
-    natural one asks whether alpha is that family's sup.
+    When every member has a finite arity alpha must be the interned node
+    over their concatenated subordinals, which is looked up, not built;
+    otherwise alpha must be the sup ``_sups`` holds for these members.  A
+    finite Family counts as its member tuple, and a natural one asks
+    whether alpha is that family's sup.
     """
     if isinstance(members, Family):
         if members.index is NAT:
@@ -501,9 +521,8 @@ def sup_decomposition(alpha: OrdName, members) -> bool:
     members = tuple(m for m in members if not m.is_zero)
     if not members:
         return alpha.is_zero
-    if all(isinstance(m.index, Fin) for m in members):
-        return _sup_of_members(members) is alpha
-    return _sups.get(members) is alpha
+    flat = _flat(members)
+    return (_sups.get(members) if flat is None else _intern.get(flat)) is alpha
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +639,7 @@ def format_name(alpha: OrdName) -> str:
         return "w"
     if not alpha.is_finitary:
         return f"~nat#{alpha.ident}"
-    inner = ", ".join(format_name(c) for c in alpha._members)
+    inner = ", ".join(format_name(c) for c in alpha.pulled)
     return f"suc({inner})"
 
 

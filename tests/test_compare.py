@@ -129,7 +129,7 @@ class TestHeightShortcut:
             # the declined seam really sends a fixed deep pair past the
             # height read, which would answer in one eval and store no memo
             # entry: le recurses into the members, and lt reads the bound's
-            # member table, which memoizes its verdict
+            # running heights, and memoizes its verdict
             deep, six = suc_list([und(2), und(4)]), und(6)
             fuel6 = finitary_fuel(deep, six)
             v, evals = _evals_of(le, deep, (six,), fuel6)
@@ -203,7 +203,7 @@ def _evals_of(rel, a, bs, fuel=Fuel()):
 
 class TestMemberTable:
     """Scans whose selections or members are finitary are read off the
-    bounds' member tables: running heights settle them in one eval."""
+    names' stores: their running heights settle them in one eval."""
 
     def test_finitary_lhs_is_confirmed_at_the_first_row_that_reaches_it(self):
         v, evals = _evals_of(lt, und(40), (omega(),))
@@ -263,24 +263,23 @@ class TestMemberTable:
         wild = mk_node(Family.from_generator(lambda i: w if i else ZERO))
         for bs in ((tall, wild), (wild, tall)):
             clear_memo()
-            tables = [compare._table(b) for b in bs]
             for target, read in ((3, (1, False)), (3, (1, False)),
                                  (1, (0, True))):
-                assert compare._by_rows(tables, target, 8) == read
+                assert compare._by_rows(list(bs), target, 8) == read
 
     def test_rows_past_the_held_ones_are_read_once_each(self):
         # 300 against the selections of w^w's members reads rows that no
-        # table holds yet; each is measured in the table that grows, not
-        # in every table of the set again
+        # bound holds yet; each is measured in the bound that grows, not
+        # in every bound of the set again
         calls = [0]
-        measure = compare._Rows.measure
+        measure = compare._measure
 
-        def counted(rows):
+        def counted(b):
             calls[0] += 1
-            measure(rows)
+            return measure(b)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compare._Rows, "measure", counted)
+            mp.setattr(compare, "_measure", counted)
             v, evals = _evals_of(lt, und(300), (lower(parse_expr("w^w")),),
                                  Fuel(steps=300))
         assert (v.value, v.reason, evals) == (None, STEPS_EXHAUSTED, 300)
@@ -299,10 +298,13 @@ class TestMemberTable:
         lt(q["w+3"], [q["w*2+1"]], Fuel(steps=300))
         assert len(compare._sel_cache) >= 300
         for rec in compare._sel_cache.values():
-            arities = [b.arity for b in rec.bs]
-            heights = [b.height for b in rec.bs]
-            assert rec.cover == (None if None in arities else max(arities))
-            assert rec.height == (None if None in heights else max(heights))
+            # tables leaves out a zero bound, whose arity and height are 0
+            arities = [b.arity for b in rec.tables]
+            heights = [b.height for b in rec.tables]
+            assert rec.cover == (None if None in arities
+                                 else max(arities, default=0))
+            assert rec.height == (None if None in heights
+                                  else max(heights, default=0))
 
     def test_member_as_high_as_finitary_bounds_refutes(self):
         w = omega()
@@ -443,11 +445,12 @@ def _over(b):
 
 
 def test_reach_finds_what_the_linear_scan_finds():
-    """compare.reach against a scan from index 0: each query from an empty
-    memo, and then all of a bound's queries in one memo, where the rows
-    measured by earlier queries are bisected.  No row is pulled past the
-    member that answers, nor past k when none does, read off a fresh name
-    over a natural b's members; a finite name holds every member."""
+    """compare.reach against a scan from index 0: each query on a fresh
+    name over a natural b's members, and then all of a bound's queries on
+    one such name, where the rows measured by earlier queries are bisected
+    (b itself keeps its running forms throughout, as every name does).  No
+    row is pulled past the member that answers, nor past k when none does,
+    read off the fresh name; a finite name holds every member."""
     for label, b in _reach_bounds().items():
         goals = _reach_goals(b)
         natural = b.index is NAT
@@ -459,7 +462,7 @@ def test_reach_finds_what_the_linear_scan_finds():
                 if natural:
                     c = _over(b)
                     assert compare.reach(c, h, k) == i, (label, h, k)
-                    rows = len(compare._table(c).members)
+                    rows = len(c.pulled)
                     assert rows <= (k if i is None else i + 1), (label, h, k)
             clear_memo()
             c = _over(b) if natural else None
@@ -469,7 +472,7 @@ def test_reach_finds_what_the_linear_scan_finds():
                 if natural:
                     assert compare.reach(c, h, k) == i, (label, h, k)
                     pulled = max(pulled, k if i is None else i + 1)
-                    assert len(compare._table(c).members) <= pulled
+                    assert len(c.pulled) <= pulled
 
 
 class TestUnsettledScans:
@@ -599,7 +602,7 @@ class TestFailingGenerator:
             lt(omega(), (f,))
 
     def test_table_pulls_no_row_past_the_one_that_settles(self):
-        # the member table grows a row at a time: a finitary lhs is settled
+        # the store grows a row at a time: a finitary lhs is settled
         # at f's row 3, and f as an lhs against finitary bounds at its
         # member 2, both before the row that fails
         f = mk_node(Family.from_generator(failing_past_five))
@@ -620,8 +623,8 @@ class TestFailingGenerator:
             for bs in ((f, g), (g, f)):
                 clear_memo()
                 assert lt(a, bs).is_true
-                assert len(compare._table(f).members) == 4
-                assert len(compare._table(g).members) == 4
+                assert len(f.pulled) == 4
+                assert len(g.pulled) == 4
 
     def test_table_scan_past_the_failing_row_raises(self):
         f = mk_node(Family.from_generator(failing_past_five))
@@ -632,9 +635,9 @@ class TestFailingGenerator:
 
 
 class TestSharedStores:
-    """A table is its name's own store, so one bound's generator can pull
-    another bound's members while the rows are read: a row pulled that way
-    is read like any other."""
+    """The engine reads each name's own store, so one bound's generator can
+    pull another bound's members while the rows are read: a row pulled that
+    way is read like any other."""
 
     def test_height_scan_reads_rows_another_bound_pulled(self):
         # c's row 0 pulls b's row 0, w, which stops the scan: 5 < w+1
@@ -657,7 +660,7 @@ class TestSharedStores:
         b = mk_node(Family.from_generator(
             lambda i: mk_node(Family.from_generator(lambda j: und(i + j)))))
         m = b.child(3)
-        assert compare._table(b).members == []
+        assert b.pulled == []
         clear_memo()
         assert lt(m, (arith.add(und(1), b), b)).is_true
 
@@ -678,6 +681,30 @@ class TestMemo:
         assert after == before
         assert memo_stats()["hits"] > 0
         assert second < first
+
+    def test_one_cache_holds_the_verdicts_and_names_their_heights(self):
+        # the bound records are the engine's one cache and hold its
+        # verdicts; a name's running heights are facts about the name, kept
+        # on it across clearing
+        clear_memo()
+        caches = [v for k, v in vars(compare).items() if isinstance(v, dict)
+                  and not k.startswith("__") and k != "_stats"]
+        assert caches == [{}]
+        w = omega()
+        b = mk_node(Family.from_generator(lambda i: und(2 * i)))
+        assert lt(und(40), (b,)).is_true
+        assert le(arith.add(w, und(1)), (arith.add(w, und(2)),)).is_true
+        held = [len(r.le) + len(r.lt) for r in compare._sel_cache.values()]
+        assert sum(n > 0 for n in held) >= 2
+        assert memo_stats()["entries"] == sum(held)
+        heights = list(b.heights)
+        assert len(heights) == 21
+        clear_memo()
+        assert memo_stats()["entries"] == 0 and caches == [{}]
+        assert b.heights == heights
+        fresh = mk_node(Family.from_generator(b.child))
+        compare._grow(fresh, len(heights))
+        assert compare._measure(fresh) == heights
 
     def test_clear_resets_counters(self):
         cmp_finitary(und(2), und(3))

@@ -367,7 +367,7 @@ class TestFormOnlySearch:
 
 class TestSearchCost:
     """The search reads each bound's members, and their running largest
-    form, off the bound's member table, so a sweep over the lhs's members
+    form, off the bound itself, so a sweep over the lhs's members
     compares forms about once a member rather than once a member pair."""
 
     def test_light_claim_compares_few_forms(self, monkeypatch):

@@ -180,6 +180,34 @@ class TestSupFinite:
         assert sup_family(h) is sup_family(h)
         assert sup_decomposition(sup_family(h), h)
 
+    def test_sup_of_members_of_finite_arity_concatenates_them(self):
+        # eventually constant natural families have finite arity: their sup
+        # lists each one's members up to its constant point and ends there,
+        # where a diagonal walk would look for pairs that never come
+        members = eps_lpo(BitSeq.const_last([0, 1]))
+        s = sup_finite(members)
+        assert s.arity == 6
+        assert [s.child(k) for k in range(6)] == [und(n) for n in
+                                                  (0, 1, 1, 1, 2, 2)]
+        assert compare.le(s, (und(5),)).is_true
+        assert compare.lt(s, (und(3),)).is_false
+        assert compare.le(s, (und(2),)).is_false
+        assert sup_decomposition(s, members)
+        pair = (mk_node(Family.from_generator(und, const_from=2)), und(3))
+        t = sup_finite(pair)
+        assert t.arity == 4
+        with pytest.raises(IndexError):
+            t.child(4)
+        listed = [pair[j].child(i) for j, i in sup_order(pair)]
+        assert listed == [t.child(k) for k in range(4)]
+
+    def test_refused_decomposition_builds_no_node(self):
+        w = mk_node(Family.from_generator(und))
+        members = (suc(w), suc_list([und(7), w]))
+        before = len(names._intern)
+        assert not sup_decomposition(und(5), members)
+        assert len(names._intern) == before
+
 
 _STEADY = mk_node(Family.from_generator(und, const_from=2))
 
@@ -202,7 +230,7 @@ def test_sup_order_lists_the_sup(members):
 
 class TestNaturalStore:
     """A naturally indexed family holds each member once, in one list in
-    index order, which is the store the engine's member table reads."""
+    index order, which is the store the engine reads."""
 
     @staticmethod
     def _counted(const_from=None):
@@ -232,9 +260,9 @@ class TestNaturalStore:
         b = mk_node(Family.from_generator(und))
         pulled = [b.child(i) for i in range(10)]
         compare.clear_memo()
-        rows = compare._table(b)
-        assert rows.members is b.pulled
-        assert rows.members == pulled
+        # the running heights read the members the store holds, and pull none
+        assert compare._by_rows([b], 9, 10) == (9, True)
+        assert b.pulled == pulled
         # the engine pulls into the same store
         assert compare.lt(und(12), (b,)).is_true
         assert len(b.pulled) == 13
