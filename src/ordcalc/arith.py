@@ -6,25 +6,24 @@ denotes w^2, not the first fixed point of exponentiation its name promises;
 ROADMAP.md's item "Make eps0 denote ε0" plans the redefinition.
 
 Each operation follows its defining recursion literally, building suprema of
-pointwise-transformed families.  Results are memoized on operand identity, so
-equal calls return the identical name; in particular add(a, zero) is a
-itself, which keeps identities like a < a + a cheaply recognizable.  Sums,
-products and powers of operands with a Cantor normal form record the
-result's, the hint certificate search steers by.
+pointwise-transformed families.  Results are memoized in one dict on the
+operation and its operands' identities, so equal calls return the identical
+name; in particular add(a, zero) is a itself, which keeps identities like
+a < a + a cheaply recognizable.  Sums, products and powers of operands with
+a Cantor normal form record the result's, the hint certificate search
+steers by.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Union
 
 from . import cnf
 from .names import (Family, Fin, Index, NAT, OrdName, ZERO, map_family,
                     mk_node, omega, subordinals, sup_family, sup_finite, und)
 
-_add_memo: dict = {}
-_mul_memo: dict = {}
-_pow_memo: dict = {}
-_acko_memo: dict = {}
+# (operation, operand idents...) -> result
+_memo: dict = {}
 
 
 def _sup_of(fam: Family) -> OrdName:
@@ -48,12 +47,12 @@ def add(a: OrdName, b: OrdName) -> OrdName:
     """a + b: rebuild b's spine on top of a."""
     if b.is_zero:
         return a
-    key = (a.ident, b.ident)
-    hit = _add_memo.get(key)
+    key = ("add", a.ident, b.ident)
+    hit = _memo.get(key)
     if hit is None:
         hit = _hint(mk_node(map_family(subordinals(b), lambda bj: add(a, bj))),
                     cnf.add, a, b)
-        _add_memo[key] = hit
+        _memo[key] = hit
     return hit
 
 
@@ -118,13 +117,13 @@ def mul(a: OrdName, b: OrdName) -> OrdName:
     """
     if b.is_zero or a.is_zero:
         return ZERO
-    key = (a.ident, b.ident)
-    hit = _mul_memo.get(key)
+    key = ("mul", a.ident, b.ident)
+    hit = _memo.get(key)
     if hit is None:
         hit = _hint(_sup_of(map_family(subordinals(b),
                                        lambda bj: add(mul(a, bj), a))),
                     cnf.mul, a, b)
-        _mul_memo[key] = hit
+        _memo[key] = hit
     return hit
 
 
@@ -134,13 +133,13 @@ def pow(a: OrdName, b: OrdName) -> OrdName:
         return und(1)
     if a.is_zero:
         return ZERO
-    key = (a.ident, b.ident)
-    hit = _pow_memo.get(key)
+    key = ("pow", a.ident, b.ident)
+    hit = _memo.get(key)
     if hit is None:
         hit = _hint(_sup_of(map_family(subordinals(b),
                                        lambda bj: mul(pow(a, bj), a))),
                     cnf.power, a, b)
-        _pow_memo[key] = hit
+        _memo[key] = hit
     return hit
 
 
@@ -152,27 +151,21 @@ def acko(a: OrdName, b: OrdName, g: OrdName) -> OrdName:
         return add(a, b)
     if b.is_zero:
         return a
-    key = (a.ident, b.ident, g.ident)
-    hit = _acko_memo.get(key)
+    key = ("acko", a.ident, b.ident, g.ident)
+    hit = _memo.get(key)
     if hit is None:
         def layer(gk: OrdName) -> OrdName:
             return _sup_of(map_family(
                 subordinals(b), lambda bj: acko(a, acko(a, bj, g), gk)))
 
         hit = _sup_of(map_family(subordinals(g), layer))
-        _acko_memo[key] = hit
+        _memo[key] = hit
     return hit
-
-
-_eps0: Optional[OrdName] = None
 
 
 def eps0() -> OrdName:
     """acko(w, w, 1), the sup of its members w*k + n: it denotes w^2.
 
     acko(a, b, 1) is a*(b+1), so this is not epsilon_0 (ROADMAP.md, "Make
-    eps0 denote ε0")."""
-    global _eps0
-    if _eps0 is None:
-        _eps0 = acko(omega(), omega(), und(1))
-    return _eps0
+    eps0 denote ε0").  acko's memo makes every call return one name."""
+    return acko(omega(), omega(), und(1))

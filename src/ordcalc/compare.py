@@ -11,10 +11,14 @@ comes only from fully exhausted index sets or an explicit witness, False only
 from a counterexample or an exhausted witness space.  Every budget truncation
 yields Unknown, tagged with what ran out; once the step budget is spent, that
 reason is reported over any width or depth truncation met on the way.
-Definite verdicts are monotone in the fuel.  Those a scan reaches are
-cached in the one record the engine keeps per bound set, keyed by lhs;
-those read off heights (below) are not, since reading the heights again
-costs no more than a lookup; Unknown is never cached.
+Definite verdicts are monotone in the fuel.  Both relations, at the top
+and at every level of the recursion, go through one entry, which keeps the
+engine's one caching policy: it answers from heights (below) or from the
+one record the engine keeps per bound set, else charges a step and a depth
+level and runs the relation's scan.  A definite verdict the scan reaches is
+stored in the record, keyed by lhs; one read off heights is not, since
+reading the heights again costs no more than a lookup; Unknown is never
+stored.
 
 An Unknown can also mean that no scan at any budget settles the question.
 a <= bs is confirmed by exhausting a's subordinals, which needs a finite
@@ -384,18 +388,6 @@ def _by_height(a: OrdName, bs: tuple, rec: Optional[_Bounds],
     return a.height < top if strict else a.height <= top
 
 
-def _read(quick: bool, depth: int, budget: list) -> TriBool:
-    """A height read's verdict, at the cost of one step like any eval, and
-    not memoized."""
-    if depth == 0:
-        return _unknown(DEPTH_EXHAUSTED)
-    if budget[0] <= 0:
-        return _unknown(STEPS_EXHAUSTED)
-    budget[0] -= 1
-    _stats["evals"] += 1
-    return TRUE if quick else FALSE
-
-
 def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
     """Read a bound set's first top rows off its bounds' running heights
     while every member is finitary: the number n of rows whose running
@@ -482,17 +474,18 @@ def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
     return None
 
 
-def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
-        budget: list) -> TriBool:
-    if a.is_zero or a.ident in rhs_key:
+def _ask(strict: bool, a: OrdName, bs: tuple, rhs_key: frozenset,
+         width: int, depth: int, budget: list) -> TriBool:
+    """a < bs when strict, else a <= bs: the one entry of both relations,
+    at the top and in every scan.  A verdict held in the bound set's record
+    costs nothing.  A height read and a scan each need a depth level left
+    and cost one step, and only a scan's definite verdict is stored."""
+    if not strict and (a.is_zero or a.ident in rhs_key):
         return TRUE
     rec = _sel_cache.get(rhs_key)
-    if a.height is not None:
-        quick = _by_height(a, bs, rec, False)
-        if quick is not None:
-            return _read(quick, depth, budget)
-    if rec is not None:
-        hit = rec.le.get(a.ident)
+    quick = None if a.height is None else _by_height(a, bs, rec, strict)
+    if quick is None and rec is not None:
+        hit = (rec.lt if strict else rec.le).get(a.ident)
         if hit is not None:
             _stats["hits"] += 1
             return TRUE if hit else FALSE
@@ -502,8 +495,23 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         return _unknown(STEPS_EXHAUSTED)
     budget[0] -= 1
     _stats["evals"] += 1
+    if quick is not None:
+        # a height read is an eval that stores nothing
+        return TRUE if quick else FALSE
     if rec is None:
         rec = _bounds(bs, rhs_key)
+    if strict:
+        r = _lt(a, rec, width, depth, budget)
+    else:
+        r = _le(a, bs, rhs_key, rec, width, depth, budget)
+    if r.value is not None:
+        (rec.lt if strict else rec.le)[a.ident] = r.value
+    return r
+
+
+def _le(a: OrdName, bs: tuple, rhs_key: frozenset, rec: _Bounds, width: int,
+        depth: int, budget: list) -> TriBool:
+    """The scan for a <= bs, whose record is rec."""
     if a.arity is None and rec.cover is None:
         # True needs a's subordinals exhausted, so a finite arity; False
         # needs an _lt refutation, so a cover.  No scan can settle this.
@@ -516,62 +524,36 @@ def _le(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     if (a.height is None and rec.height is not None
             and _by_rows([a], rec.height, n)[1]):
         # finitary bounds: a member as high as they are is not below them
-        rec.le[a.ident] = False
         return FALSE
     if not exhausted and _in_prefix(a, rec, width):
         # the scan cannot exhaust a, but a is member i of a bound b, so
         # a < b by lt_intro with the selection {i} and a <= a, and a <= bs;
         # a member found at one width is found at every larger one
-        rec.le[a.ident] = True
         return TRUE
     pending: Optional[TriBool] = None
     for i in range(n):
-        r = _lt(child(a, i), bs, rhs_key, width, depth - 1, budget)
-        if r.is_false:
-            rec.le[a.ident] = False
+        r = _ask(True, child(a, i), bs, rhs_key, width, depth - 1, budget)
+        if r.value is False:
             return FALSE
-        if r.is_unknown and (pending is None or r.reason == STEPS_EXHAUSTED):
+        if r.value is None and (pending is None
+                                or r.reason == STEPS_EXHAUSTED):
             pending = r
     if pending is not None:
         return pending
-    if not exhausted:
-        return _unknown(WIDTH_TRUNCATED)
-    rec.le[a.ident] = True
-    return TRUE
+    return TRUE if exhausted else _unknown(WIDTH_TRUNCATED)
 
 
-def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
+def _lt(a: OrdName, rec: _Bounds, width: int, depth: int,
         budget: list) -> TriBool:
-    rec = _sel_cache.get(rhs_key)
-    if a.height is not None:
-        quick = _by_height(a, bs, rec, True)
-        if quick is not None:
-            return _read(quick, depth, budget)
-    if rec is not None:
-        hit = rec.lt.get(a.ident)
-        if hit is not None:
-            _stats["hits"] += 1
-            return TRUE if hit else FALSE
-    if depth == 0:
-        return _unknown(DEPTH_EXHAUSTED)
-    if budget[0] <= 0:
-        return _unknown(STEPS_EXHAUSTED)
-    budget[0] -= 1
-    _stats["evals"] += 1
-    if rec is None:
-        rec = _bounds(bs, rhs_key)
+    """The scan for a < bs, whose record is rec."""
     cover = rec.cover
     if cover == 0:
-        rec.lt[a.ident] = False
         return FALSE
     if a.arity is None and cover is None:
         # with no finite arity, a is below a selection only as one of its
         # members, and with no cover no refuted selection refutes a < bs:
         # only membership can give a verdict
-        if _in_prefix(a, rec, width):
-            rec.lt[a.ident] = True
-            return TRUE
-        return _unknown(WIDTH_TRUNCATED)
+        return TRUE if _in_prefix(a, rec, width) else _unknown(WIDTH_TRUNCATED)
     top = width if cover is None else min(width, cover)
     start = 1
     if a.is_finitary:
@@ -580,20 +562,15 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
         # stays below a, confirmed at the first row that reaches a
         n, reached = _by_rows(rec.tables, a.height, top)
         if reached:
-            rec.lt[a.ident] = True
             return TRUE
         if n == top:
-            if top == cover:
-                rec.lt[a.ident] = False
-                return FALSE
-            return _unknown(WIDTH_TRUNCATED)
+            return FALSE if top == cover else _unknown(WIDTH_TRUNCATED)
         start = n + 1
     elif a.height is None and rec.height is not None:
         # finitary bounds: a member of a as high as the covering selection
         # refutes it, and with it every selection
         n = a.arity if a.arity is not None and a.arity <= width else width
         if _by_rows([a], rec.height - 1, n)[1]:
-            rec.lt[a.ident] = False
             return FALSE
     if cover is None and start < top:
         # with no cover the scan can only confirm, and selection top holds
@@ -610,20 +587,16 @@ def _lt(a: OrdName, bs: tuple, rhs_key: frozenset, width: int, depth: int,
     starved: Optional[TriBool] = None
     for m in range(start, top + 1):
         sel, sel_key = _selection(rec, m)
-        r = _le(a, sel, sel_key, width, depth - 1, budget)
-        if r.is_true:
-            rec.lt[a.ident] = True
+        r = _ask(False, a, sel, sel_key, width, depth - 1, budget)
+        if r.value is True:
             return TRUE
         if m == cover:
             covering = r
-        elif r.is_unknown and r.reason == STEPS_EXHAUSTED:
+        elif r.value is None and r.reason == STEPS_EXHAUSTED:
             starved = r
     if covering is not None:
-        # the covering prefix is the largest selection there is; a definite
+        # the covering prefix is the largest selection there is; a
         # refutation of it refutes every selection
-        if covering.is_false:
-            rec.lt[a.ident] = False
-            return FALSE
         return covering
     return starved if starved is not None else _unknown(WIDTH_TRUNCATED)
 
@@ -643,15 +616,15 @@ def _as_rhs(bs) -> tuple:
 def le(a: OrdName, bs: Sequence[OrdName], fuel: Fuel = DEFAULT_FUEL) -> TriBool:
     """Is a below the supremum of bs?  Sound in both definite directions."""
     rhs = _as_rhs(bs)
-    return _le(a, rhs, _rhs_key(rhs), fuel.width, fuel.depth,
-               [fuel.step_budget])
+    return _ask(False, a, rhs, _rhs_key(rhs), fuel.width, fuel.depth,
+                [fuel.step_budget])
 
 
 def lt(a: OrdName, bs: Sequence[OrdName], fuel: Fuel = DEFAULT_FUEL) -> TriBool:
     """Is a strictly below the supremum of bs?"""
     rhs = _as_rhs(bs)
-    return _lt(a, rhs, _rhs_key(rhs), fuel.width, fuel.depth,
-               [fuel.step_budget])
+    return _ask(True, a, rhs, _rhs_key(rhs), fuel.width, fuel.depth,
+                [fuel.step_budget])
 
 
 def eq(a: OrdName, b: OrdName, fuel: Fuel = DEFAULT_FUEL) -> TriBool:

@@ -779,11 +779,6 @@ def incompatible(p: Certificate, q: Certificate) -> bool:
 # certificate search
 
 
-def _gen_probe(gen: Callable[[int], Certificate], samples) -> None:
-    for s in samples:
-        gen(s)
-
-
 # search nodes one le_cert/lt_cert call may expand before giving up
 SEARCH_STEPS = 6_000
 
@@ -876,43 +871,47 @@ def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
         c = refl(a)
         extra = tuple(b for b in bs if b.ident != a.ident)
         return weaken(c, extra) if extra else c
-    memo: dict = {}
 
     def prem(i: int) -> Certificate:
-        if i not in memo:
-            # deep premises may need selections about as wide as their index
-            # or, for successor stacks such as member i of k+w, as their stack
-            member = compare.child(a, i)
-            memo[i] = _settle("lt", member, bs,
-                              max(limit, i + 2, member.stack + 2),
-                              budget - 1, st)
-        return memo[i]
+        # deep premises may need selections about as wide as their index
+        # or, for successor stacks such as member i of k+w, as their stack
+        member = compare.child(a, i)
+        return _settle("lt", member, bs,
+                       max(limit, i + 2, member.stack + 2), budget - 1, st)
 
-    if isinstance(a.index, Fin):
-        return le_intro(a, bs, premises=tuple(
-            prem(i) for i in range(a.index.size)))
-    cf = None if a.arity is None else a.arity - 1
-    if cf is None and all(b.is_finitary for b in bs):
+    if a.arity is None:
         # Against purely finitary bounds a naturally indexed family needs a
         # totality argument the sampled premise checks cannot supply;
         # guessing a generator here can smuggle in a premise that fails
         # beyond the samples.
-        raise CertSearchError(
-            f"no finite evidence that every member of {a!r} stays below"
-            " finitary bounds")
-    if cf is not None:
+        if all(b.is_finitary for b in bs):
+            raise CertSearchError(
+                f"no finite evidence that every member of {a!r} stays below"
+                " finitary bounds")
+        # Without a form nothing refutes the members past the sweep, which
+        # may outgrow the bounds there: ack(w,2,2) <= w*7 is false, yet its
+        # first 48 members are below w*7.
+        if cnf.of(a) is None:
+            raise CertSearchError(
+                f"{a!r} has no normal form to vouch for the members past"
+                " the sweep")
+    cert = _le_node(a, bs, prem)
+    if cert.generated:
         # An eventually constant family is settled by probing the constant
-        # point and the start.
-        _gen_probe(prem, (0, 1, 2, cf))
-        return le_intro(a, bs, gen=prem)
-    # Sweep the whole index range the selections can reach.  Families need
-    # not enumerate their members in increasing size, so spot probes are
-    # not enough: every swept member yields its premise now, whose search
-    # refuses what the forms refute, and a member with no premise sinks the
-    # family.  Members beyond the sweep remain the caller's totality
-    # obligation, as with any generator handed to le_intro.
-    _gen_probe(prem, range(max(limit, 2) + 1))
-    return le_intro(a, bs, gen=prem)
+        # point and the start.  Otherwise sweep the whole index range the
+        # selections can reach.  Families need not enumerate their members
+        # in increasing size, so spot probes are not enough: every swept
+        # member yields its premise now, whose search refuses what the
+        # forms refute, and a member with no premise sinks the family.
+        # Members beyond the sweep remain the caller's totality obligation,
+        # as with any generator handed to le_intro.
+        if a.arity is None:
+            samples = range(max(limit, 2) + 1)
+        else:
+            samples = (0, 1, 2, a.arity - 1)
+        for i in samples:
+            cert.premise_at(i)
+    return cert
 
 
 def _single(bs: tuple, j: int, i: int) -> tuple:

@@ -556,7 +556,10 @@ def filtering(alpha: OrdName) -> OrdName:
     def gen(n: int) -> OrdName:
         return sup_finite([alpha.child(j) for j in _mask_bits(n + 1)])
 
-    return Node(Family.from_generator(gen))
+    node = Node(Family.from_generator(gen))
+    # both denote one ordinal (kernel.filtering_eq_certs), so one form
+    node.cnf = alpha.cnf
+    return node
 
 
 # ---------------------------------------------------------------------------

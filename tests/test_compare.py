@@ -706,6 +706,32 @@ class TestMemo:
         compare._grow(fresh, len(heights))
         assert compare._measure(fresh) == heights
 
+    @pytest.mark.parametrize("fuel", [Fuel(64, 512, 300), Fuel(4, 12),
+                                      Fuel(3, 3)], ids=str)
+    def test_only_definite_scan_verdicts_are_held(self, fuel):
+        # each query of the differential, from an empty memo: a definite
+        # scan verdict is held in its bound set's record and an unknown is
+        # not, while a height read, like le's answer for zero or a bound,
+        # stores nothing
+        names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+        seen = {"held": 0, "unknown": 0, "read": 0}
+        for bs in [(b,) for b in EXPRESSIONS] + TWO_NAME:
+            bounds = [names[b] for b in bs]
+            finitary = None not in [b.height for b in bounds]
+            for a in names.values():
+                for rel in (le, lt):
+                    v, evals = _evals_of(rel, a, bounds, fuel)
+                    if evals == 0 or a.height is not None and finitary:
+                        assert v.value is not None and not compare._sel_cache
+                        seen["read"] += 1
+                        continue
+                    rec = compare._sel_cache[frozenset(
+                        b.ident for b in bounds)]
+                    held = (rec.le if rel is le else rec.lt).get(a.ident)
+                    assert held is v.value, (rel, a, bs, v)
+                    seen["unknown" if held is None else "held"] += 1
+        assert min(seen.values()) > 0, seen
+
     def test_clear_resets_counters(self):
         cmp_finitary(und(2), und(3))
         clear_memo()

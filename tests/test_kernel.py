@@ -343,6 +343,13 @@ class TestFormOnlySearch:
         assert _outcome(lambda: lt_cert(a, (bound,)),
                         SpotCheck((0, 1, 2, 5))) == "refused"
 
+    def test_formless_lhs_is_not_swept(self):
+        # ack(w,2,2) denotes w^2, not below w*7, though its first 48
+        # members are: a sweep over them would certify the false claim
+        a = acko(omega(), und(2), und(2))
+        assert _outcome(lambda: le_cert(a, (mul(omega(), und(7)),)),
+                        SpotCheck((0, 1, 2, 5, 17, 40))) == "refused"
+
     @pytest.fixture
     def no_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -406,6 +413,9 @@ class TestSearchCost:
             return failing_past_five(i)
 
         f = mk_node(Family.from_generator(gen))
+        # a form, which a swept lhs needs; it claims w, and the members the
+        # generator yields are below w
+        f.cnf = cnf.OMEGA
         compare.clear_memo()
         with pytest.raises(compare.EngineError, match="index 6"):
             le_cert(f, (omega(),))

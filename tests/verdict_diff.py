@@ -8,8 +8,10 @@ the ordcalc package under BASE_SRC and once with the one under CHANGE_SRC
 (default: this checkout's src/), each side in a fresh interpreter.  Exits 1
 when a verdict that is definite on the base side is unknown or flipped on
 the change side; an unknown that becomes definite, or changes its reason,
-is counted but allowed.  The tests import the same tables, but do not
-collect this script: a run takes about ten seconds a side.
+is counted but allowed.  Each table's summed evals on both sides, and
+how many queries' eval counts moved, are printed too, to show cost drift;
+they do not affect the exit code.  The tests import the same tables, but
+do not collect this script: a run takes about ten seconds a side.
 """
 
 import json
@@ -31,9 +33,10 @@ TABLES = {"one-name": [(b,) for b in EXPRESSIONS], "two-name": TWO_NAME}
 
 
 def dump() -> dict:
-    """Every verdict of both tables with the ordcalc on sys.path, keyed by
-    table and then by (fuel, lhs, kind, bounds) joined into one string."""
-    from ordcalc.compare import Fuel, clear_memo, le, lt
+    """Every verdict of both tables with the ordcalc on sys.path, with the
+    evals it took, keyed by table and then by (fuel, lhs, kind, bounds)
+    joined into one string."""
+    from ordcalc.compare import Fuel, clear_memo, le, lt, memo_stats
     from ordcalc.expr import lower, parse_expr
 
     names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
@@ -47,7 +50,8 @@ def dump() -> dict:
                         clear_memo()
                         v = rel(names[a], [names[b] for b in bs], Fuel(*fuel))
                         key = f"{fuel} {kind} {a} {'|'.join(bs)}"
-                        rows[key] = (v.value, v.reason)
+                        evals = memo_stats()["evals"]
+                        rows[key] = (v.value, v.reason, evals)
     return out
 
 
@@ -73,9 +77,12 @@ def compare(base: dict, change: dict) -> list:
                     and rows[q][1] != now[q][1] for q in rows)
         definite = [sum(v[0] is not None for v in side.values())
                     for side in (rows, now)]
+        evals = [sum(v[2] for v in side.values()) for side in (rows, now)]
+        drifted = sum(rows[q][2] != now[q][2] for q in rows)
         print(f"{table}: {len(rows)} queries, definite {definite[0]} -> "
               f"{definite[1]}, lost or flipped {len(lost)}, gained {gained}, "
-              f"unknown with another reason {moved}")
+              f"unknown with another reason {moved}; evals {evals[0]} -> "
+              f"{evals[1]}, moved on {drifted} queries")
         bad += lost
     return bad
 
