@@ -8,14 +8,14 @@ derivations but no bounded decision procedure.
 """
 
 from .arith import LinearIndexOrder, acko, add, eps0, mul, pow, seq_sum
-from .compare import (DEFAULT_FUEL, EngineError, Fuel, Judgment, Ordering,
-                      TriBool, clear_memo, cmp_finitary, eq, finitary_fuel,
-                      le, lt, memo_stats)
+from .checker import (Certificate, Exhaustive, Judgment, KernelError,
+                      SpotCheck, VerifyReport, serialize, verify)
+from .compare import (DEFAULT_FUEL, EngineError, Fuel, Ordering, TriBool,
+                      clear_memo, cmp_finitary, eq, finitary_fuel, le, lt,
+                      memo_stats)
 from .expr import (ExprError, format_expr, lower, parse_expr, parse_name,
                    parse_sequent)
-from .kernel import (Certificate, CertSearchError, Exhaustive, KernelError,
-                     SpotCheck, VerifyReport, eq_certs, le_cert, lt_cert,
-                     serialize, verify)
+from .kernel import CertSearchError, eq_certs, le_cert, lt_cert
 from .laws import LAWS, run_laws
 from .mlseq import (Atom, MlCertificate, ml_cert_exa123, ml_derivable,
                     ml_verify)

@@ -11,11 +11,11 @@ import sys
 from typing import List, Optional
 
 from . import trees
+from .checker import KernelError, SpotCheck, serialize, verify
 from .compare import TRUE, Fuel, le, lt
 from .expr import (ExprError, kernel_eligible, lower, parse_expr, parse_name,
                    parse_sequent)
-from .kernel import (CertSearchError, KernelError, SpotCheck, le_cert,
-                     lt_cert, serialize, verify)
+from .kernel import CertSearchError, le_cert, lt_cert
 from .laws import run_laws
 from .mlseq import Atom, ml_cert_exa123, ml_derivable, ml_verify
 from .names import BitSeq, eps_llpo, eps_lpo

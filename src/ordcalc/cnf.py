@@ -8,7 +8,7 @@ in that order, so zero is the empty tuple and two values denote the same
 ordinal exactly when they are equal.
 
 Names record the form of the ordinal they denote where the construction
-makes it obvious (``of``).  Nothing in the trusted kernel reads it: the
+makes it obvious (``of``).  Nothing in the trusted checker reads it: the
 search uses it only to choose, order and prune the steps it tries, and every
 step it takes is still checked by ``verify``.
 """

@@ -42,10 +42,8 @@ r of each bound.  A finitary a < bs is true at the first selection that
 reaches a's height and false when the covering one stays below it;
 a <= bs with finitary bounds is false at the first member of a as high as
 they are.  Each such scan costs one step instead of one per selection or
-member, and reads no row past the scan's width.  The certificate search
-reads a name's running largest Cantor normal form of its members too
-(``forms``, through ``reach``); no verdict reads a form.  Running maxima
-are facts about the name, so clear_memo leaves them.
+member, and reads no row past the scan's width.  Running maxima are facts
+about the name, so clear_memo leaves them.
 
 The search over witness selections examines prefixes only.  That loses no
 generality: a selection is below any larger one, so if some selection works,
@@ -66,7 +64,6 @@ from bisect import bisect_left
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from . import cnf
 from .names import OrdName, max_fin_width, structural_depth
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -178,30 +175,6 @@ class Fuel(_FuelFields):
 
 
 DEFAULT_FUEL = Fuel()
-
-
-class _JudgmentFields(NamedTuple):
-    kind: str
-    lhs: OrdName
-    rhs: Tuple[OrdName, ...]
-
-
-class Judgment(_JudgmentFields):
-    """A comparison claim: kind is "le" or "lt", rhs a nonempty tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, lhs: OrdName,
-                rhs: Tuple[OrdName, ...]) -> Judgment:
-        if kind not in ("le", "lt"):
-            raise ValueError(f"bad judgment kind {kind!r}")
-        if not rhs:
-            raise ValueError("judgment needs at least one bound")
-        return super().__new__(cls, kind, lhs, rhs)
-
-    def __repr__(self) -> str:
-        op = "<=" if self.kind == "le" else "<"
-        return f"{self.lhs!r} {op} {list(self.rhs)!r}"
 
 
 # per rhs ident set: its _Bounds record, which holds the set's verdicts
@@ -439,39 +412,6 @@ def _by_rows(tables: list, target: int, top: int) -> Tuple[int, bool]:
         if done:
             live = [b for b in live if _more(b)]
     return top, False
-
-
-def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
-    """The index of the first of b's first k members whose Cantor normal
-    form is at least h, or None: what a scan of those members from index 0
-    would find, read off b's running largest forms for the certificate
-    search.  The rows whose running form is measured are bisected; past
-    them b's store grows one member at a time, and no member is pulled past
-    the first that reaches h.  Nothing the engine decides reads forms."""
-    forms = b.forms
-    if b.arity is not None:
-        k = min(k, b.arity)
-    cmp = cnf.cmp
-    # running maxima never fall, so the rows measured so far are bisected
-    n = min(k, len(forms))
-    lo = bisect_left(forms, True, 0, n,
-                     key=lambda f: f is not None and cmp(f, h) >= 0)
-    if lo < n:
-        return lo
-    if not forms and k:
-        forms = b.forms = []
-    for r in range(len(forms), k):
-        _grow(b, r + 1)
-        f = cnf.of(b.pulled[r])
-        if f is not None and cmp(f, h) >= 0:
-            # every form before it is below h, so it is the new maximum
-            forms.append(f)
-            return r
-        top = forms[-1] if forms else None
-        if f is not None and (top is None or cmp(f, top) > 0):
-            top = f
-        forms.append(top)
-    return None
 
 
 def _ask(strict: bool, a: OrdName, bs: tuple, rhs_key: frozenset,

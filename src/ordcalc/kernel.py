@@ -1,129 +1,43 @@
-"""Certificate kernel for comparison judgments.
+"""Rule constructors, derived rules and certificate search.
 
-A certificate is a tree (shared subtrees allowed) whose nodes each apply one
-inference rule to premise certificates and claim a conclusion.  The checker
-trusts three rules: ``le_intro`` and ``lt_intro``, the defining clauses of
-<= and <, and ``weaken``; the other constructors (transitivity, cut, drop,
-the successor and sup rules) are untrusted functions that build derivations
-from those three.  ``verify`` walks a certificate and independently
-rederives every visited conclusion from the rule and premises, so nothing
-is trusted at construction time.  Premises below a naturally indexed
-family are held as a generator, so certificates about infinitely branching
-names are finite objects; verifying those requires a spot-check policy,
-since an exhaustive walk is only meaningful when every branching is finite.
-Each rule is one entry of a rule table read by a single walker,
-``check_derivation``; the sequent calculus (``mlseq``) runs the same walker
-over a table of its own.
+This module builds certificates and vouches for none: one is trusted only
+once ``checker.verify`` accepts it.  Besides the constructors of the
+checker's three rules (``le_intro``, ``lt_intro`` and ``weaken``) it holds
+the derived rules (transitivity, cut, drop, the successor and sup rules),
+untrusted functions that build derivations from those three.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
 certificate that is then checked like any other.  Their only guide is the
 Cantor normal form names carry (``cnf``): the forms pick the selections to
 try and refuse goals they refute, and a missing form gives no opinion.  The
-search asks the comparison engine for no verdict.  A hint only prunes,
-refuses or picks the steps tried: every step is still built as a
-derivation, so a wrong hint can make a search fail but cannot make
-``verify`` accept a false claim.
+search asks the comparison engine for no verdict; it pulls members through
+``compare.child``.  A hint only prunes, refuses or picks the steps tried:
+every step is still built as a derivation, so a wrong hint can make a
+search fail but cannot make ``verify`` accept a false claim.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import count, islice
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import cnf, compare
-from .compare import Judgment
-from .names import (Family, Fin, NAT, OrdName, ZERO, _mask_bits,
+# SpotCheck and verify are only re-exported, for callers that read them here
+from .checker import (_RULES, Certificate, Judgment, KernelError, SpotCheck,
+                      _ids, _selected, subordinal_arity, subordinal_premises,
+                      verify)
+from .names import (Family, Fin, OrdName, ZERO, _mask_bits,
                     filtering, fin, suc, sup_decomposition, sup_finite,
                     sup_order)
-
-
-class KernelError(Exception):
-    """A certificate constructor or verifier was used incorrectly."""
 
 
 class CertSearchError(KernelError):
     """Certificate search failed to find a derivation."""
 
 
-class Exhaustive:
-    """Check every premise; legal only when all branching is finite."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "Exhaustive()"
-
-
-class _SpotCheckFields(NamedTuple):
-    samples: Tuple[int, ...] = (0, 1, 2)
-    depth: int = 64
-
-
-class SpotCheck(_SpotCheckFields):
-    """Check generated premises at these sample indices, to this depth."""
-
-    __slots__ = ()
-
-    def __new__(cls, samples: Tuple[int, ...] = (0, 1, 2),
-                depth: int = 64) -> SpotCheck:
-        if not samples:
-            raise ValueError("spot check needs at least one sample")
-        if any(s < 0 for s in samples):
-            raise ValueError("sample indices must be nonnegative")
-        return super().__new__(cls, samples, depth)
-
-
-VerifyPolicy = object  # Exhaustive | SpotCheck
-
-
-class Certificate:
-    """One rule application.  Immutable by convention; compared by identity.
-
-    Premises are a tuple, or a generator over the naturals whose results are
-    cached.  The sequent calculus subclasses this type."""
-
-    __slots__ = ("rule", "conclusion", "premises", "_gen", "_gen_cache",
-                 "payload")
-
-    def __init__(self, rule: str, conclusion: Judgment,
-                 premises: Tuple["Certificate", ...] = (),
-                 gen: Optional[Callable[[int], "Certificate"]] = None,
-                 payload: tuple = ()):
-        self.rule = rule
-        self.conclusion = conclusion
-        self.premises = premises
-        self._gen = gen
-        self._gen_cache: dict = {}
-        self.payload = payload
-
-    @property
-    def generated(self) -> bool:
-        return self._gen is not None
-
-    @property
-    def kind(self) -> str:
-        """The relation the rule concludes; rule tables match on it."""
-        return self.conclusion.kind
-
-    def premise_at(self, i: int) -> "Certificate":
-        """Premise i, generated on first use; the verifier checks its type."""
-        if self._gen is None:
-            return self.premises[i]
-        if i not in NAT:
-            raise IndexError(f"premise index {i!r} outside {NAT!r}")
-        hit = self._gen_cache.get(i)
-        if hit is None:
-            hit = self._gen_cache[i] = self._gen(i)
-        return hit
-
-    def __repr__(self) -> str:
-        return f"<cert {self.rule}: {self.conclusion!r}>"
+class _Spent(CertSearchError):
+    """The search ran out of depth or of steps."""
 
 
 def _rhs(bs) -> Tuple[OrdName, ...]:
@@ -131,43 +45,6 @@ def _rhs(bs) -> Tuple[OrdName, ...]:
     if not bs or not all(isinstance(b, OrdName) for b in bs):
         raise KernelError("rhs must be a nonempty tuple of names")
     return bs
-
-
-def _ids(names: Sequence[OrdName]) -> frozenset:
-    return frozenset(n.ident for n in names)
-
-
-def subordinal_premises(x: OrdName, premises=None, gen=None) -> dict:
-    """The premise slots of a rule with one premise per subordinal of x
-    (le_intro, and R2 of the sequent calculus): none for zero, a tuple for
-    finite branching, a generator over the naturals otherwise."""
-    if x.is_zero:
-        if premises or gen:
-            raise KernelError("zero takes no premises")
-        return {}
-    if isinstance(x.index, Fin):
-        if gen is not None or premises is None:
-            raise KernelError("finitely branching name takes a premise tuple")
-        premises = tuple(premises)
-        if len(premises) != x.index.size:
-            raise KernelError(
-                f"need {x.index.size} premises, got {len(premises)}")
-        return {"premises": premises}
-    if gen is None or premises:
-        raise KernelError("naturally indexed name takes a premise generator")
-    return {"gen": gen}
-
-
-def subordinal_arity(x: OrdName, c: Certificate) -> Optional[str]:
-    """The verifier's side of subordinal_premises: a failure reason, or
-    None when c's premises have the shape x's subordinals demand."""
-    if x.is_zero:
-        fits = not c.premises and not c.generated
-    elif isinstance(x.index, Fin):
-        fits = not c.generated and len(c.premises) == x.index.size
-    else:
-        fits = c.generated
-    return None if fits else "one premise per subordinal"
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +90,6 @@ def lt_intro(a: OrdName, bs, m: int, inner: Certificate) -> Certificate:
         else:
             sels.append(tuple(range(m)))
     return lt_intro_sel(a, bs, sels, inner)
-
-
-def _selected(bs: Tuple[OrdName, ...], selections) -> Tuple[OrdName, ...]:
-    return tuple(b.child(i) for b, s in zip(bs, selections) for i in s)
 
 
 def _le_node(x: OrdName, T, prem: Callable[[int], Certificate]) -> Certificate:
@@ -294,7 +167,7 @@ def _le_premise(p: Certificate, i: int) -> Certificate:
     """From p: x <= B, x.child(i) < (part of B)."""
     q = _unweaken(p, "le")
     r = q.premise_at(i) if not subordinal_arity(q.conclusion.lhs, q) else None
-    if type(r) is not Certificate or _check_le_premise(q, i, r):
+    if type(r) is not Certificate or _RULES["le_intro"].premise(q, i, r):
         raise KernelError(f"premise {i} of the le_intro does not fit it")
     return r
 
@@ -305,7 +178,7 @@ def _lt_parts(p: Certificate) -> Tuple[list, Certificate]:
     inner = q.premises[0] if len(q.premises) == 1 else None
     _expect(inner, "le", "inner premise")
     try:
-        reason = _check_lt_intro(q, (inner.conclusion,))
+        reason = _RULES["lt_intro"].check(q, (inner.conclusion,))
     except (TypeError, ValueError) as e:
         reason = f"malformed payload: {e!r}"
     if reason:
@@ -568,214 +441,6 @@ def drop_left(p: Certificate, other: OrdName) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# verification
-
-
-class VerifyReport:
-    __slots__ = ("ok", "visited", "failures")
-
-    def __init__(self, ok: bool, visited: int = 0,
-                 failures: Optional[List[Tuple[str, str]]] = None):
-        self.ok = ok
-        self.visited = visited
-        self.failures = [] if failures is None else failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ok, self.visited, self.failures)
-                == (other.ok, other.visited, other.failures))
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return (f"VerifyReport(ok={self.ok!r}, visited={self.visited!r},"
-                f" failures={self.failures!r})")
-
-    def fail(self, path: str, reason: str) -> None:
-        self.ok = False
-        self.failures.append((path, reason))
-
-
-class Rule(NamedTuple):
-    """One rule of a calculus, as the verifier rederives it.
-
-    kinds lists the kinds of a fixed premise tuple (None in a slot: any
-    kind), or is None when check decides the premise count itself.  concl
-    is the kind the rule concludes (None: any).  check(c, ps) gets ps, the
-    conclusions of a fixed premise tuple; premise(c, i, p) checks premise i
-    before the walk descends into it.  Both return a failure reason, or
-    None."""
-
-    kinds: Optional[Tuple[Optional[str], ...]]
-    concl: Optional[str]
-    check: Callable[[Certificate, tuple], Optional[str]]
-    premise: Optional[Callable[[Certificate, int, Certificate],
-                               Optional[str]]] = None
-
-
-def check_derivation(cert: Certificate, policy: VerifyPolicy, cls: type,
-                     rules: dict) -> VerifyReport:
-    """Walk a derivation whose nodes must all be of type cls, rederiving
-    every visited node from its entry in rules.
-
-    Exhaustive visits everything, each shared subtree once, and is rejected
-    outright on certificates with generated premises.  SpotCheck visits
-    finite premises exhaustively and generated ones at the sample indices,
-    descending at most its depth; a shared premise is walked once, from the
-    shallowest depth any path reaches it at, since that walk goes at least
-    as far down as any other.  A premise that cannot be generated, or is
-    not of type cls, fails at its own path and is not descended into; a
-    rule check that raises on a malformed payload fails its node."""
-    report = VerifyReport(ok=True)
-    spot = policy if isinstance(policy, SpotCheck) else None
-    if spot is None and not isinstance(policy, Exhaustive):
-        raise KernelError(f"unknown verification policy: {policy!r}")
-    foreign = f"not a certificate of this calculus ({cls.__name__})"
-    # id of each node walked: the node, held so that a generated premise is
-    # not freed and its id reused while the walk lasts, and the depth
-    walked: dict = {}
-
-    def guarded(check: Callable[..., Optional[str]], *args) -> Optional[str]:
-        try:
-            return check(*args)
-        except RecursionError:
-            raise
-        except Exception as e:
-            return f"malformed payload: {e!r}"
-
-    def local(c: Certificate) -> Optional[str]:
-        rule = rules.get(c.rule)
-        if rule is None:
-            return f"unknown rule {c.rule!r}"
-        if rule.concl is not None and c.kind != rule.concl:
-            return f"{c.rule} concludes {rule.concl}"
-        if rule.kinds is None:
-            return guarded(rule.check, c, ())
-        if c.generated or len(c.premises) != len(rule.kinds):
-            return f"{c.rule} takes {len(rule.kinds)} premises"
-        if any(type(p) is not cls for p in c.premises):
-            return f"a premise is {foreign}"
-        if any(k is not None and p.kind != k
-               for p, k in zip(c.premises, rule.kinds)):
-            return "premise kinds do not fit the rule"
-        return guarded(rule.check, c,
-                       tuple(p.conclusion for p in c.premises))
-
-    def walk(c: Certificate, path: str, depth: int) -> None:
-        if spot is not None and depth > spot.depth:
-            return
-        prior = walked.get(id(c))
-        if prior is not None and (spot is None or prior[1] <= depth):
-            return
-        walked[id(c)] = (c, depth)
-        report.visited += 1
-        msg = foreign if type(c) is not cls else local(c)
-        if msg is not None:
-            report.fail(path, msg)
-            return
-        if c.generated:
-            if spot is None:
-                raise KernelError(
-                    "exhaustive verification is only meaningful for "
-                    "finitely branching certificates; use SpotCheck")
-            indices = spot.samples
-        else:
-            indices = range(len(c.premises))
-        check = rules[c.rule].premise
-        for i in indices:
-            sub = f"{path}.{i}"
-            try:
-                p = c.premise_at(i)
-            except RecursionError:
-                raise
-            except Exception as e:
-                report.fail(sub, f"premise generation failed: {e!r}")
-                continue
-            if type(p) is not cls:
-                msg = foreign
-            else:
-                msg = guarded(check, c, i, p) if check is not None else None
-            if msg is not None:
-                report.fail(sub, msg)
-                continue
-            walk(p, sub, depth + 1)
-
-    try:
-        walk(cert, "root", 0)
-    finally:
-        # walk is a closure that refers to itself, a cycle that would keep
-        # the map, and the premises it holds, alive until a full collection
-        walked.clear()
-    return report
-
-
-def _unless(holds: bool, reason: str) -> Optional[str]:
-    return None if holds else reason
-
-
-def _check_le_premise(c: Certificate, i: int, p: Certificate) -> Optional[str]:
-    """Premise i of an le_intro concludes subordinal i of the lhs strictly
-    below the node's own bound set."""
-    p = p.conclusion
-    if p.kind != "lt":
-        return f"premise {i} must conclude lt"
-    if p.lhs.ident != c.conclusion.lhs.child(i).ident:
-        return f"premise {i} is not about member {i}"
-    return _unless(_ids(p.rhs) == _ids(c.conclusion.rhs),
-                   f"premise {i} bounds by the wrong set")
-
-
-def _check_lt_intro(c: Certificate, ps: tuple) -> Optional[str]:
-    concl, sels = c.conclusion, c.payload
-    if len(sels) != len(concl.rhs) or all(not s for s in sels):
-        return "selections malformed"
-    if any(b.is_zero or i not in b.index
-           for b, s in zip(concl.rhs, sels) for i in s):
-        return "selection index invalid"
-    inner = ps[0]
-    return _unless(inner.lhs.ident == concl.lhs.ident
-                   and _ids(inner.rhs) == _ids(_selected(concl.rhs, sels)),
-                   "inner premise does not bound by the selection")
-
-
-def _check_weaken(c: Certificate, ps: tuple) -> Optional[str]:
-    cp, concl = ps[0], c.conclusion
-    return _unless(cp.kind == concl.kind and cp.lhs.ident == concl.lhs.ident
-                   and _ids(concl.rhs) == _ids(cp.rhs) | _ids(c.payload),
-                   "weaken changes only the bound set")
-
-
-# The trusted rules: the two defining clauses of <= and <, and weakening.
-_RULES = {
-    "le_intro": Rule(None, "le",
-                     lambda c, ps: subordinal_arity(c.conclusion.lhs, c),
-                     _check_le_premise),
-    "lt_intro": Rule(("le",), "lt", _check_lt_intro),
-    "weaken": Rule((None,), None, _check_weaken),
-}
-
-
-def verify(cert: Certificate, policy: VerifyPolicy = Exhaustive()) -> VerifyReport:
-    """Walk the certificate and rederive every visited conclusion; the
-    policies are those of check_derivation."""
-    return check_derivation(cert, policy, Certificate, _RULES)
-
-
-def incompatible(p: Certificate, q: Certificate) -> bool:
-    """Do the two conclusions assert b <= [a] and a < [b] for one pair?
-    Sound verification can never accept both."""
-    cp, cq = p.conclusion, q.conclusion
-    for x, y in ((cp, cq), (cq, cp)):
-        if (x.kind == "le" and y.kind == "lt"
-                and len(x.rhs) == 1 and len(y.rhs) == 1
-                and x.lhs.ident == y.rhs[0].ident
-                and y.lhs.ident == x.rhs[0].ident):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # certificate search
 
 
@@ -829,7 +494,7 @@ def _search(kind: str, a: OrdName, bs, limit: int, budget: int,
 
 def _spend(budget: int, st: _SearchState) -> None:
     if budget <= 0 or st.steps <= 0:
-        raise CertSearchError("search budget exhausted")
+        raise _Spent("search budget exhausted")
     st.steps -= 1
 
 
@@ -914,25 +579,50 @@ def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
     return cert
 
 
-def _single(bs: tuple, j: int, i: int) -> tuple:
-    """The selection of member i of bound j alone."""
-    return tuple((i,) if k == j else () for k in range(len(bs)))
+def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
+    """The index of the first of b's first k members whose Cantor normal
+    form is at least h, or None: what a scan of those members from index 0
+    would find, read off b's running largest forms.  The rows whose running
+    form is measured are bisected; past them b's members are pulled one at
+    a time, and none past the first that reaches h."""
+    forms = b.forms
+    if b.arity is not None:
+        k = min(k, b.arity)
+    cmp = cnf.cmp
+    # running maxima never fall, so the rows measured so far are bisected
+    n = min(k, len(forms))
+    lo = bisect_left(forms, True, 0, n,
+                     key=lambda f: f is not None and cmp(f, h) >= 0)
+    if lo < n:
+        return lo
+    if not forms and k:
+        forms = b.forms = []
+    for r in range(len(forms), k):
+        f = cnf.of(compare.child(b, r))
+        if f is not None and cmp(f, h) >= 0:
+            # every form before it is below h, so it is the new maximum
+            forms.append(f)
+            return r
+        top = forms[-1] if forms else None
+        if f is not None and (top is None or cmp(f, top) > 0):
+            top = f
+        forms.append(top)
+    return None
 
 
 def _steered(a: OrdName, bs: tuple, limit: int):
     """For each bound, the single-member selection of its first member
     (among the first limit) whose Cantor normal form reaches a's, when a and
-    that member carry one.  Each bound's running largest form is kept on
-    the bound, beside the store the engine reads (compare.reach), so a goal
-    bisects what earlier goals of the search measured instead of rescanning
-    the bound from index 0."""
+    that member carry one.  reach keeps each bound's running largest form
+    on the bound, so a goal bisects what earlier goals measured instead of
+    rescanning the bound from index 0."""
     ha = cnf.of(a)
     if ha is None:
         return
     for j, b in enumerate(bs):
-        i = compare.reach(b, ha, limit)
+        i = reach(b, ha, limit)
         if i is not None:
-            yield _single(bs, j, i)
+            yield tuple((i,) if k == j else () for k in range(len(bs)))
 
 
 def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
@@ -940,17 +630,22 @@ def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
     _spend(budget, st)
     if _refuted("lt", a, bs):
         raise CertSearchError(f"guidance refutes {a!r} < {list(bs)!r}")
-    for sels in _steered(a, bs, limit):
+    # widen as prem does: the numeral 60 is first reached at member 60 of w
+    spent = None
+    for sels in _steered(a, bs, max(limit, a.stack + 2)):
         _spend(budget, st)
         try:
             inner = _settle("le", a, _selected(bs, sels), limit, budget - 1,
                             st)
-        except CertSearchError:
+        except CertSearchError as e:
             if st.steps <= 0:
                 raise
+            # a candidate that ran out of depth is the failure to report
+            spent = spent or (e if isinstance(e, _Spent) else None)
             continue
         return lt_intro_sel(a, bs, sels, inner)
-    raise CertSearchError(f"no selection bounds {a!r} within {list(bs)!r}")
+    raise spent or CertSearchError(
+        f"no selection bounds {a!r} within {list(bs)!r}")
 
 
 def eq_certs(a: OrdName, b: OrdName,
@@ -997,43 +692,3 @@ def filtering_eq_certs(alpha: OrdName) -> Tuple[Certificate, Certificate]:
         forward = le_intro(alpha, (beta,), gen=fwd)
         backward = le_intro(beta, (alpha,), gen=back)
     return forward, backward
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def serialize(cert: Certificate) -> str:
-    """Line-oriented text for finite certificates: one numbered node per
-    line, premises before conclusions.  Generator-backed certificates have
-    no finite listing and are rejected."""
-    from .names import format_name
-
-    order: List[Certificate] = []
-    number: dict = {}
-
-    def visit(c: Certificate) -> int:
-        if id(c) in number:
-            return number[id(c)]
-        if c.generated:
-            raise KernelError("cannot serialize a generator-backed certificate")
-        refs = [visit(p) for p in c.premises]
-        n = len(order)
-        number[id(c)] = n
-        order.append((c, refs))
-        return n
-
-    visit(cert)
-    lines = []
-    for n, (c, refs) in enumerate(order):
-        j = c.conclusion
-        op = "<=" if j.kind == "le" else "<"
-        rhs = ", ".join(format_name(b) for b in j.rhs)
-        extra = ""
-        if c.rule == "lt_intro":
-            extra = " sel " + "|".join(
-                ",".join(str(i) for i in s) for s in c.payload)
-        body = f"{format_name(j.lhs)} {op} {rhs}{extra}"
-        lines.append(f"{n}: {c.rule}({body})" + "{" +
-                     ",".join(str(r) for r in refs) + "}")
-    return "\n".join(lines) + "\n"

@@ -18,10 +18,10 @@ the conclusion, so only sequents whose atoms can each be rewritten into a
 goal atom can lead to the goal, and the closure applies no rule to any
 other (the magic-sets restriction of a bottom-up closure to what can reach
 the query, Bancilhon, Maier, Sagiv & Ullman, 1986).  Certificates
-mirror the two rules.  They are comparison-kernel certificates with a
-sequent as conclusion, built and checked by the kernel's code: R2 shares
+mirror the two rules.  They are the checker's certificates with a sequent
+as conclusion, built and checked by the checker's code: R2 shares
 le_intro's one premise per subordinal (generator-backed below a naturally
-indexed node, and spot-checked there), and ``ml_verify`` is the kernel's
+indexed node, and spot-checked there), and ``ml_verify`` is the checker's
 walker run over a two-entry rule table.
 """
 
@@ -31,8 +31,9 @@ from itertools import product
 from typing import (Callable, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
-from .kernel import (Certificate, Exhaustive, KernelError, Rule, VerifyReport,
-                     check_derivation, subordinal_arity, subordinal_premises)
+from .checker import (Certificate, Exhaustive, KernelError, Rule,
+                      VerifyReport, check_derivation, subordinal_arity,
+                      subordinal_premises)
 from .names import BitSeq, OrdName, ZERO, eps_lpo, structural_depth, und
 
 
@@ -193,7 +194,7 @@ def ml_derivable(goal: Sequent) -> bool:
 
 
 class MlCertificate(Certificate):
-    """One rule application on sequents: a kernel certificate whose
+    """One rule application on sequents: a checker certificate whose
     conclusion is a sequent, plus the principal atom and R1's choice."""
 
     __slots__ = ("principal", "choice")
@@ -285,8 +286,8 @@ _RULES = {
 
 
 def ml_verify(cert: MlCertificate, policy=Exhaustive()) -> VerifyReport:
-    """Rederive every visited rule instance; the kernel's walker and
-    policies (kernel.check_derivation)."""
+    """Rederive every visited rule instance; the checker's walker and
+    policies (checker.check_derivation)."""
     return check_derivation(cert, policy, MlCertificate, _RULES)
 
 

@@ -1,0 +1,100 @@
+"""Mutation scan of the trusted checker: would the tests notice a wrong check?
+
+    python tests/mutate_checker.py
+
+Negates, one at a time, each comparison and each other boolean test (of an
+``if``, ``while``, conditional expression or ``and``/``or`` operand) in the
+functions of src/ordcalc/checker.py, and runs TESTS against each mutant in a
+fresh copy of the package.  A mutant that passes every test has survived:
+nothing pins that check.  Prints each survivor with its line, and exits 1
+when there is one or when the tests fail on the unmutated checker.  pytest
+does not collect this script: a run takes about a minute.
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CHECKER = os.path.join(ROOT, "src", "ordcalc", "checker.py")
+# the tests of the checker's walker and rules, of the calculi built on
+# them, and of its value types (Judgment, the policies, VerifyReport)
+TESTS = ["tests/test_verify_core.py", "tests/test_kernel.py",
+         "tests/test_derived_rules.py", "tests/test_mlseq.py",
+         "tests/test_value_types.py"]
+
+
+def sites(tree: ast.Module) -> list:
+    """The nodes to negate, in source order: every comparison, and every
+    other test of a branch or operand of a boolean operator, inside a
+    function."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare):
+                found.append(node)
+            elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
+                found.append(node.test)
+            elif isinstance(node, ast.BoolOp):
+                found.extend(node.values)
+    # a nested function's nodes are met again, as is a comparison that is
+    # also a test
+    unique = {id(n): n for n in found}
+    return sorted(unique.values(), key=lambda n: (n.lineno, n.col_offset))
+
+
+class _Negate(ast.NodeTransformer):
+    def __init__(self, target: ast.AST):
+        self.target = target
+
+    def visit(self, node):
+        if node is self.target:
+            return ast.UnaryOp(op=ast.Not(), operand=node)
+        return self.generic_visit(node)
+
+
+def passes(src_dir: str) -> bool:
+    """Do TESTS pass with the ordcalc package under src_dir?"""
+    env = dict(os.environ, PYTHONPATH=src_dir, PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *TESTS], cwd=ROOT, env=env, capture_output=True)
+    return run.returncode == 0
+
+
+def main() -> int:
+    with open(CHECKER) as f:
+        source = f.read()
+    survivors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(os.path.join(ROOT, "src", "ordcalc"),
+                        os.path.join(tmp, "ordcalc"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = os.path.join(tmp, "ordcalc", "checker.py")
+        if not passes(tmp):
+            print("the tests fail on the unmutated checker")
+            return 1
+        count = len(sites(ast.parse(source)))
+        for k in range(count):
+            # a fresh tree each time, so that the k-th site is negated alone
+            tree = ast.parse(source)
+            node = sites(tree)[k]
+            where = f"checker.py:{node.lineno}: not ({ast.unparse(node)})"
+            mutant = ast.fix_missing_locations(_Negate(node).visit(tree))
+            with open(target, "w") as f:
+                f.write(ast.unparse(mutant))
+            if passes(tmp):
+                survivors.append(where)
+                print(f"SURVIVED {where}")
+    print(f"{count} mutants, {count - len(survivors)} killed,"
+          f" {len(survivors)} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

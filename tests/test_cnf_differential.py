@@ -15,7 +15,8 @@ import sys
 from ordcalc import cnf
 from ordcalc.compare import clear_memo, le, lt
 from ordcalc.expr import lower, parse_expr
-from ordcalc.kernel import CertSearchError, SpotCheck, le_cert, lt_cert, verify
+from ordcalc.checker import SpotCheck, verify
+from ordcalc.kernel import CertSearchError, le_cert, lt_cert
 from ordcalc.names import NAT
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordcalc import arith, cnf, compare, oracle
+from ordcalc import arith, cnf, compare, kernel, oracle
+from ordcalc.checker import SpotCheck, verify
 from ordcalc.compare import (DEPTH_EXHAUSTED, STEPS_EXHAUSTED, WIDTH_TRUNCATED,
                              Fuel, Ordering, clear_memo, cmp_finitary, eq,
                              finitary_fuel, le, lt, memo_stats)
 from ordcalc.expr import lower, parse_expr
+from ordcalc.kernel import CertSearchError, le_cert, lt_cert
 from ordcalc.names import (NAT, ZERO, Family, mk_node, omega, suc_list,
                            sup_finite, und)
 
@@ -379,26 +381,77 @@ def _definite(verdicts):
     return sum(value is not None for value, _ in verdicts.values())
 
 
-def test_member_table_changes_no_definite_verdict():
-    """The readers keep the scan's verdicts on one-name bound sets."""
+@pytest.fixture(scope="module")
+def one_name():
+    """The names, and the one-name table with the readers declining and
+    not, scanned once for every test that reads them."""
     names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
     bound_sets = [(b,) for b in EXPRESSIONS]
-    slow = _verdicts(names, True, bound_sets)
-    quick = _verdicts(names, False, bound_sets)
+    return (names, _verdicts(names, True, bound_sets),
+            _verdicts(names, False, bound_sets))
+
+
+@pytest.fixture(scope="module")
+def two_name():
+    """The same for the two-name table, at the fuels but the default."""
+    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+    return (names, _verdicts(names, True, TWO_NAME, FUELS[1:]),
+            _verdicts(names, False, TWO_NAME, FUELS[1:]))
+
+
+def test_member_table_changes_no_definite_verdict(one_name):
+    """The readers keep the scan's verdicts on one-name bound sets."""
+    _, slow, quick = one_name
     assert len(quick) == 5600 - len(HEAVY) == 5583
     _agree(slow, quick)
     assert _definite(quick) >= 2205
 
 
-def test_two_name_bound_sets_read_both_tables():
+def test_two_name_bound_sets_read_both_tables(two_name):
     """The same on two-name bound sets, whose rows interleave the bounds'
     tables, at the fuels other than the default."""
-    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
-    slow = _verdicts(names, True, TWO_NAME, FUELS[1:])
-    quick = _verdicts(names, False, TWO_NAME, FUELS[1:])
+    _, slow, quick = two_name
     assert len(quick) == 6 * 20 * 2 * len(TWO_NAME)
     _agree(slow, quick)
     assert _definite(quick) >= 855
+
+
+def _at_most(f, g):
+    return (f.width <= g.width and f.depth <= g.depth
+            and f.step_budget <= g.step_budget)
+
+
+def test_definite_verdicts_are_monotone_in_fuel(one_name, two_name):
+    """A verdict definite at one fuel is the same at every fuel at least as
+    large in each field, with the readers declining or not."""
+    wrong = []
+    for table in one_name[1:] + two_name[1:]:
+        for (fuel, *query), (value, _) in table.items():
+            for more in FUELS:
+                got = table.get((more, *query))
+                if (value is not None and got is not None and more != fuel
+                        and _at_most(fuel, more) and got[0] is not value):
+                    wrong.append((fuel, more, query, value, got))
+    assert wrong == []
+
+
+def test_every_engine_true_certifies(one_name, two_name):
+    """Each claim the engine confirms at some fuel has a certificate that
+    the search finds and the checker accepts."""
+    claims, refused = 0, []
+    for names, _, quick in (one_name, two_name):
+        confirmed = {(kind, a, bs)
+                     for (_, a, kind, bs), (value, _) in quick.items() if value}
+        claims += len(confirmed)
+        for kind, a, bs in sorted(confirmed):
+            search = le_cert if kind == "le" else lt_cert
+            try:
+                cert = search(names[a], [names[b] for b in bs])
+            except CertSearchError:
+                cert = None
+            if cert is None or not verify(cert, SpotCheck()).ok:
+                refused.append((kind, a, bs))
+    assert claims >= 354 and refused == []
 
 
 def _scan(b, h, k):
@@ -445,7 +498,7 @@ def _over(b):
 
 
 def test_reach_finds_what_the_linear_scan_finds():
-    """compare.reach against a scan from index 0: each query on a fresh
+    """kernel.reach against a scan from index 0: each query on a fresh
     name over a natural b's members, and then all of a bound's queries on
     one such name, where the rows measured by earlier queries are bisected
     (b itself keeps its running forms throughout, as every name does).  No
@@ -458,19 +511,19 @@ def test_reach_finds_what_the_linear_scan_finds():
             want = [_scan(b, h, k) for h in goals]
             for h, i in zip(goals, want):
                 clear_memo()
-                assert compare.reach(b, h, k) == i, (label, h, k)
+                assert kernel.reach(b, h, k) == i, (label, h, k)
                 if natural:
                     c = _over(b)
-                    assert compare.reach(c, h, k) == i, (label, h, k)
+                    assert kernel.reach(c, h, k) == i, (label, h, k)
                     rows = len(c.pulled)
                     assert rows <= (k if i is None else i + 1), (label, h, k)
             clear_memo()
             c = _over(b) if natural else None
             pulled = 0
             for h, i in zip(goals, want):
-                assert compare.reach(b, h, k) == i, (label, h, k)
+                assert kernel.reach(b, h, k) == i, (label, h, k)
                 if natural:
-                    assert compare.reach(c, h, k) == i, (label, h, k)
+                    assert kernel.reach(c, h, k) == i, (label, h, k)
                     pulled = max(pulled, k if i is None else i + 1)
                     assert len(c.pulled) <= pulled
 

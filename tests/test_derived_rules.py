@@ -6,14 +6,14 @@ import random
 
 import pytest
 
-from ordcalc import kernel
-from ordcalc.compare import Judgment
-from ordcalc.kernel import (Certificate, Exhaustive, KernelError, SpotCheck,
-                            contract, cut_left, drop_left, le_cert, le_intro,
+from ordcalc import checker
+from ordcalc.checker import (Certificate, Exhaustive, Judgment, KernelError,
+                             SpotCheck, verify)
+from ordcalc.kernel import (contract, cut_left, drop_left, le_cert, le_intro,
                             le_of_lt_suc, lt_cert, lt_intro_sel, lt_of_suc_le,
                             lt_suc_of_le, lt_to_le, refl, suc_le_of_lt,
                             sup_le_intro, sup_lt, trans_le_le, trans_le_lt,
-                            trans_lt_le, verify, weaken)
+                            trans_lt_le, weaken)
 from ordcalc.names import (Family, ZERO, omega, suc, suc_list, sup_family,
                            sup_finite, und)
 from ordcalc.oracle import gen_finitary, val
@@ -255,4 +255,4 @@ def test_forged_premise_beyond_the_samples_is_caught_downstream():
 
 
 def test_trusted_rules():
-    assert set(kernel._RULES) == {"le_intro", "lt_intro", "weaken"}
+    assert set(checker._RULES) == {"le_intro", "lt_intro", "weaken"}

@@ -271,6 +271,16 @@ class TestCliContract:
         assert code == 3
         assert "certificate" in err
 
+    def test_emit_cert_for_a_numeral_among_the_first_members_of_w(self):
+        # 48 to 63 are among the first 64 members of w, so the engine says
+        # lt; the certificate search must find that member too
+        for args, label in ((["cmp", "48", "w"], "lt"),
+                            (["cmp", "60", "w"], "lt"),
+                            (["cmp", "w", "63"], "gt")):
+            code, out, err = run_cli(args + ["--emit-cert"])
+            assert (code, err) == (0, "")
+            assert f"verdict {label}\ncert {label}\n0: " in out
+
     def test_law_failure_would_exit_nonzero(self):
         # restricting to a real law keeps exit 0; the failure branch is
         # exercised through run_laws directly elsewhere

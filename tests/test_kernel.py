@@ -4,15 +4,15 @@ import pytest
 
 from ordcalc import cnf, compare
 from ordcalc.arith import acko, add, eps0, mul, pow
-from ordcalc.compare import Fuel, Judgment
-from ordcalc.kernel import (Certificate, CertSearchError, Exhaustive,
-                            KernelError, SpotCheck, contract, cut_left,
-                            drop_left, eq_certs, filtering_eq_certs,
-                            incompatible, le_cert, le_intro, le_of_lt_suc,
-                            lt_cert, lt_intro, lt_intro_sel, lt_of_suc_le,
-                            lt_suc_of_le, lt_to_le, refl, serialize,
+from ordcalc.checker import (Certificate, Exhaustive, Judgment, KernelError,
+                             SpotCheck, incompatible, serialize, verify)
+from ordcalc.compare import Fuel
+from ordcalc.kernel import (CertSearchError, contract, cut_left, drop_left,
+                            eq_certs, filtering_eq_certs, le_cert, le_intro,
+                            le_of_lt_suc, lt_cert, lt_intro, lt_intro_sel,
+                            lt_of_suc_le, lt_suc_of_le, lt_to_le, refl,
                             suc_le_of_lt, sup_le_intro, sup_lt, trans_le_le,
-                            trans_le_lt, trans_lt_le, verify, weaken, zero_le,
+                            trans_le_lt, trans_lt_le, weaken, zero_le,
                             zero_lt)
 from ordcalc.names import (BitSeq, Family, ZERO, eps_llpo, filtering, mk_node,
                            omega, suc, suc_list, sup_finite, und)
@@ -237,6 +237,11 @@ class TestVerify:
         assert incompatible(p, q)
         assert not verify(q).ok
 
+    def test_conclusions_about_another_pair_are_compatible(self):
+        # 1 <= [2] and 1 < [2] hold together; only b <= [a] clashes with a < [b]
+        p, q = le_cert(und(1), (und(2),)), lt_cert(und(1), (und(2),))
+        assert not incompatible(p, q) and not incompatible(q, p)
+
     def test_spot_check_on_omega_le_one_plus_omega(self):
         cert = le_cert(omega(), (add(und(1), omega()),))
         assert ok(cert, SpotCheck(samples=(0, 7, 31), depth=64))
@@ -328,6 +333,19 @@ class TestSearch:
             lt_cert(w2, (wpw,))
         with pytest.raises(CertSearchError):
             lt_cert(wpw, (w2,))
+
+    def test_a_numeral_past_the_selection_limit_is_below_w(self):
+        # n is member n of w, past the default limit of 48 members: the
+        # search widens to n's successor stack, as for deep premises
+        for n in (47, 48, 60, 63):
+            assert ok(lt_cert(und(n), (omega(),)), SPOT)
+
+    def test_running_out_of_depth_is_reported_as_such(self):
+        # a numeral step takes two depth levels, so the default budget of
+        # 256 ends near 128: the failure names the budget, not a selection
+        with pytest.raises(CertSearchError, match="budget exhausted"):
+            le_cert(und(200), (und(201),))
+        assert ok(le_cert(und(200), (und(201),), budget=1000))
 
 
 class TestFormOnlySearch:

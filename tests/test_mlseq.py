@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from ordcalc import compare, mlseq
-from ordcalc.kernel import Exhaustive, KernelError, SpotCheck
+from ordcalc.checker import Exhaustive, KernelError, SpotCheck
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_derivable, ml_le_refl_cert,
                            ml_r1, ml_verify, sequent)
 from ordcalc.names import BitSeq, ZERO, eps_lpo, omega, suc, suc_list, und

@@ -10,9 +10,9 @@ import pytest
 
 import ordcalc
 from ordcalc.arith import LinearIndexOrder
-from ordcalc.compare import Fuel, Judgment
+from ordcalc.checker import Exhaustive, Judgment, SpotCheck, VerifyReport
+from ordcalc.compare import Fuel
 from ordcalc.expr import BinOp, Call, Const, Num
-from ordcalc.kernel import Exhaustive, SpotCheck, VerifyReport
 from ordcalc.mlseq import Atom
 from ordcalc.names import Fin, und
 from ordcalc.oracle import GenParams

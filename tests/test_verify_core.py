@@ -6,12 +6,12 @@ import gc
 import pytest
 
 from ordcalc.arith import add, mul, pow
-from ordcalc.kernel import (Certificate, Exhaustive, SpotCheck, contract,
-                            eq_certs, le_cert, le_intro, lt_cert, refl, verify,
-                            weaken)
+from ordcalc.checker import Certificate, Exhaustive, SpotCheck, verify
+from ordcalc.kernel import (contract, eq_certs, le_cert, le_intro, lt_cert,
+                            refl, weaken)
 from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_le_refl_cert, ml_r2,
                            ml_verify)
-from ordcalc.names import BitSeq, omega, sup_finite, und
+from ordcalc.names import BitSeq, omega, suc, suc_list, sup_finite, und
 
 SPOT3 = SpotCheck(samples=(0, 1, 2))
 SPOT5 = SpotCheck(samples=(0, 1, 2, 5, 9))
@@ -51,6 +51,26 @@ def test_spot_check_walks_a_shared_premise_once():
     w2 = mul(pow(omega(), und(2)), und(2))
     report = verify(refl(w2), SpotCheck(samples=(0, 1, 2, 3, 7, 30, 47)))
     assert report.ok and report.visited <= 1000
+
+
+def _distinct_nodes(cert) -> int:
+    seen: dict = {}
+    todo = [cert]
+    while todo:
+        c = todo.pop()
+        if id(c) not in seen:
+            seen[id(c)] = c
+            todo.extend(c.premises)
+    return len(seen)
+
+
+def test_exhaustive_walks_a_node_met_deep_first_once():
+    # refl of 2 is a premise of both members, deep below suc(2) first and
+    # directly below the root second: a shallower path must not walk it
+    # again, as SpotCheck would
+    cert = refl(suc_list([suc(und(2)), und(2)]))
+    report = verify(cert, Exhaustive())
+    assert report.ok and report.visited == _distinct_nodes(cert) == 10
 
 
 def _no_premise(i):
