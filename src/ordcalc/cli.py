@@ -1,7 +1,13 @@
 """Command line: compare names, list tree nodes, prove sequents, check laws.
 
 Exit codes: 0 for a definite answer, 2 for a usage or input error, 3 when
-the bounded engine cannot decide at the given fuel.
+the bounded engine cannot decide at the given fuel, or when `--emit-cert`
+has no verified, serializable certificate for the verdict.
+
+`ord cmp` takes every certificate from `_certified`, which searches once
+and verifies once.  `--kernel` turns an unknown line true on one, and the
+search alone decides, by Cantor normal form, which claims it settles;
+`--emit-cert` prints the verdict's certificates from it, all or none.
 """
 
 from __future__ import annotations
@@ -13,8 +19,7 @@ from typing import List, Optional
 from . import trees
 from .checker import KernelError, SpotCheck, serialize, verify
 from .compare import TRUE, Fuel, le, lt
-from .expr import (ExprError, kernel_eligible, lower, parse_expr, parse_name,
-                   parse_sequent)
+from .expr import ExprError, lower, parse_expr, parse_name, parse_sequent
 from .kernel import CertSearchError, le_cert, lt_cert
 from .laws import run_laws
 from .mlseq import Atom, ml_cert_exa123, ml_derivable, ml_verify
@@ -27,37 +32,40 @@ def _show(v) -> str:
     return {True: "true", False: "false", None: "unknown"}[v.value]
 
 
-def _upgrade(v, search, x, y):
-    """Replace an unknown engine verdict by true when a certificate for the
-    judgment x against [y] is found and survives verification."""
-    if v.value is not None:
-        return v, None
+def _certified(search, x, y):
+    """(certificate, None) when the search finds a certificate of x against
+    [y] and verify accepts it, else (None, the reason)."""
     try:
         cert = search(x, (y,))
-    except (CertSearchError, KernelError):
-        return v, None
-    if verify(cert, _ASSIST).ok:
-        return TRUE, cert
-    return v, None
+    except (CertSearchError, KernelError) as e:
+        return None, str(e)
+    if not verify(cert, _ASSIST).ok:
+        return None, "the certificate fails verification"
+    return cert, None
 
 
 def cmd_cmp(args) -> int:
-    ea = parse_expr(args.lhs)
-    eb = parse_expr(args.rhs)
-    a = lower(ea)
-    b = lower(eb)
+    a = lower(parse_expr(args.lhs))
+    b = lower(parse_expr(args.rhs))
     fuel = Fuel(width=args.width, depth=args.depth)
     # each label's certificate search and its operands, lhs then the bound
     claims = {"le": (le_cert, a, b), "ge": (le_cert, b, a),
               "lt": (lt_cert, a, b), "gt": (lt_cert, b, a)}
     vs = {"le": le(a, (b,), fuel), "ge": le(b, (a,), fuel),
           "lt": lt(a, (b,), fuel), "gt": lt(b, (a,), fuel)}
-    certs = {}
-    # The search only escalates on shapes it is known to settle; outside
-    # that fragment the engine's verdict stands.
-    if args.kernel and kernel_eligible(ea) and kernel_eligible(eb):
-        for label, claim in claims.items():
-            vs[label], certs[label] = _upgrade(vs[label], *claim)
+    found = {}
+
+    def certified(label):
+        if label not in found:
+            found[label] = _certified(*claims[label])
+        return found[label]
+
+    # the search itself refuses what normal forms refute; an unknown line
+    # turns true only on a certificate that verify accepts
+    if args.kernel:
+        for label, v in vs.items():
+            if v.value is None and certified(label)[0] is not None:
+                vs[label] = TRUE
     vs["eq"] = vs["le"].and_(vs["ge"])
     for label, v in vs.items():
         print(f"{label} {_show(v)}")
@@ -70,24 +78,28 @@ def cmd_cmp(args) -> int:
     else:
         verdict = "unknown"
     print(f"verdict {verdict}")
-    if args.emit_cert:
-        if verdict == "unknown":
+    if verdict == "unknown":
+        if args.emit_cert:
             print("error: no certificate for an unknown verdict",
                   file=sys.stderr)
-            return 3
-        try:
-            for label in (("lt",) if verdict == "lt" else
-                          ("gt",) if verdict == "gt" else ("le", "ge")):
-                cert = certs.get(label)
-                if cert is None:
-                    search, x, y = claims[label]
-                    cert = search(x, (y,))
-                print(f"cert {label}")
-                print(serialize(cert))
-        except (CertSearchError, KernelError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    return 0 if verdict != "unknown" else 3
+        return 3
+    if args.emit_cert:
+        # every block is written before any is printed: all or none
+        blocks = []
+        for label in ((verdict,) if verdict != "eq" else ("le", "ge")):
+            cert, reason = certified(label)
+            if cert is not None:
+                try:
+                    blocks.append(f"cert {label}\n{serialize(cert)}")
+                except KernelError as e:
+                    cert, reason = None, str(e)
+            if cert is None:
+                print(f"error: no certificate for {label}: {reason}",
+                      file=sys.stderr)
+                return 3
+        for block in blocks:
+            print(block)
+    return 0
 
 
 def cmd_tree(args) -> int:
@@ -132,7 +144,7 @@ def _bitseq(prefix: List[int], tail: str) -> BitSeq:
 def cmd_demo(args) -> int:
     bits = _bits(args.prefix)
     u = _bitseq(bits, args.tail)
-    if args.which in ("lpo", "ml-lpo"):
+    if args.which == "lpo":
         a, b = eps_lpo(u)
         v = lt(a, (b,), Fuel(width=args.width, depth=args.depth))
         print(f"engine: {_show(v)}")
@@ -182,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.set_defaults(fn=cmd_check_laws)
 
     d = sub.add_parser("demo", help="run an omniscience demonstration")
-    d.add_argument("which", choices=("lpo", "ml-lpo", "llpo"))
+    d.add_argument("which", choices=("lpo", "llpo"))
     d.add_argument("--prefix", required=True, help="bit string, e.g. 001")
     d.add_argument("--tail", choices=("const", "opaque"), default="const")
     d.add_argument("--width", type=int, default=64)

@@ -297,32 +297,6 @@ def _lower(e: Expr) -> OrdName:
     return arith.pow(a, b)
 
 
-def kernel_eligible(e: Expr) -> bool:
-    """Is this expression in the fragment the certificate search handles
-    dependably: naturals and w combined by +, suc, sup, and products with
-    a literal natural on the right.
-
-    Outside this fragment (powers, ack, eps0, symbolic right factors) the
-    search may exhaust its budget, or worse, a sampled sweep may miss the
-    index that refutes a generator.  Callers use this to decide when a
-    failed engine verdict is worth escalating to a certificate search.
-    """
-    if isinstance(e, Num):
-        return True
-    if isinstance(e, Const):
-        return e.name == "w"
-    if isinstance(e, Call):
-        if e.fn not in ("suc", "sup"):
-            return False
-        return all(kernel_eligible(a) for a in e.args)
-    if isinstance(e, BinOp):
-        if e.op == "+":
-            return kernel_eligible(e.lhs) and kernel_eligible(e.rhs)
-        if e.op == "*":
-            return kernel_eligible(e.lhs) and isinstance(e.rhs, Num)
-    return False
-
-
 def parse_name(text: str) -> OrdName:
     return lower(parse_expr(text))
 

@@ -114,6 +114,16 @@ class TestFuelMonotonicity:
         v = le(arith.add(w, und(3)), (arith.add(w, und(4)),), Fuel(4, 3))
         assert (v.value, v.reason) == (None, DEPTH_EXHAUSTED)
 
+    def test_default_depth_ends_unknown_not_in_a_recursion_error(self):
+        # each depth level of a scan takes two Python frames, so the default
+        # depth of 512 needs the raised recursion limit compare sets on
+        # import; under Python's default of 1,000 both queries raise
+        clear_memo()
+        w = omega()
+        for v in (le(arith.add(w, und(300)), (arith.add(w, und(301)),)),
+                  lt(arith.add(w, und(400)), (arith.add(w, und(400)),))):
+            assert (v.value, v.reason) == (None, DEPTH_EXHAUSTED)
+
 
 class TestHeightShortcut:
     @given(finitary_names(), st.lists(finitary_names(), min_size=1, max_size=3))
