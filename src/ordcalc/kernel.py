@@ -9,7 +9,8 @@ untrusted functions that build derivations from those three.
 ``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
 certificate that is then checked like any other.  Their only guide is the
 Cantor normal form names carry (``cnf``): the forms pick the selections to
-try and refuse goals they refute, and a missing form gives no opinion.  The
+try and refuse goals they refute, and a missing form gives no opinion, save
+that a sweep over a naturally indexed lhs needs forms on both sides.  The
 search asks the comparison engine for no verdict; it pulls members through
 ``compare.child``.  A hint only prunes, refuses or picks the steps tried:
 every step is still built as a derivation, so a wrong hint can make a
@@ -553,13 +554,15 @@ def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
             raise CertSearchError(
                 f"no finite evidence that every member of {a!r} stays below"
                 " finitary bounds")
-        # Without a form nothing refutes the members past the sweep, which
+        # Only forms on both sides refute the members past the sweep, which
         # may outgrow the bounds there: ack(w,2,2) <= w*7 is false, yet its
-        # first 48 members are below w*7.
-        if cnf.of(a) is None:
+        # first 48 members are below w*7.  A formless bound is no better:
+        # w*2 <= sup(w+1, ..., w+49, ack(1,w,1)), which is ω+49, is false,
+        # yet w+0, ..., w+48 are below it.
+        if cnf.of(a) is None or any(cnf.of(b) is None for b in bs):
             raise CertSearchError(
-                f"{a!r} has no normal form to vouch for the members past"
-                " the sweep")
+                f"no normal form of {a!r} <= {list(bs)!r} vouches for the"
+                " members past the sweep")
     cert = _le_node(a, bs, prem)
     if cert.generated:
         # An eventually constant family is settled by probing the constant

@@ -261,6 +261,16 @@ class TestCliContract:
             assert code == 3
             assert out.endswith("verdict unknown\n")
 
+    def test_a_formless_bound_confirms_nothing(self):
+        # w*2 against w+49, written as a sup with the formless ack(1,w,1),
+        # which denotes w: w*2 is not below it, though its first 49 members
+        # are, so --kernel must not turn le (or lt) true
+        bound = "sup(" + ",".join(f"w+{i}" for i in range(1, 50)) \
+            + ",ack(1,w,1))"
+        code, out, _ = run_cli(["cmp", "w*2", bound, "--kernel"])
+        assert code == 3
+        assert "le unknown\n" in out and "lt unknown\n" in out
+
     def test_emit_cert_without_a_verdict_exits_3(self):
         code, _, err = run_cli(["cmp", "w", "1+w", "--emit-cert"])
         assert code == 3

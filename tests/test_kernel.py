@@ -368,6 +368,17 @@ class TestFormOnlySearch:
         assert _outcome(lambda: le_cert(a, (mul(omega(), und(7)),)),
                         SpotCheck((0, 1, 2, 5, 17, 40))) == "refused"
 
+    def test_formless_bound_is_not_swept(self):
+        # the bound is w+49: members w+1, ..., w+49 and ack(1,w,1), which
+        # denotes w but has no form, so the bound has none either.  w*2 is
+        # not below it, though its members w+0, ..., w+48 are: a sweep over
+        # them would certify the false claim
+        bound = sup_finite([add(omega(), und(i)) for i in range(1, 50)]
+                           + [acko(und(1), omega(), und(1))])
+        assert cnf.of(bound) is None
+        assert _outcome(lambda: le_cert(mul(omega(), und(2)), (bound,)),
+                        SpotCheck((0, 1, 2, 5, 17, 40))) == "refused"
+
     @pytest.fixture
     def no_engine(self, monkeypatch):
         def refuse(*args, **kwargs):
