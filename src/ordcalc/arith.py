@@ -9,9 +9,14 @@ Each operation follows its defining recursion literally, building suprema of
 pointwise-transformed families.  Results are memoized in one dict on the
 operation and its operands' identities, so equal calls return the identical
 name; in particular add(a, zero) is a itself, which keeps identities like
-a < a + a cheaply recognizable.  Sums, products and powers of operands with
-a Cantor normal form record the result's, the hint certificate search
-steers by.
+a < a + a cheaply recognizable.  Nor is a tree already built rebuilt:
+add(zero, b) is b itself, and a sup of one naturally indexed member with no
+finite arity is that member (names._sup_of_members).  So w*1 is w, w*2 is
+w+w and w*3 is w*2+w.  Only identical trees are shared: 1+w and w, or w^2
+and w*w, denote one ordinal through different trees and stay two names.
+
+Sums, products and powers of operands with a Cantor normal form record the
+result's, the hint certificate search steers by.
 """
 
 from __future__ import annotations
@@ -44,9 +49,15 @@ def _hint(result: OrdName, op: Callable, a: OrdName, b: OrdName) -> OrdName:
 
 
 def add(a: OrdName, b: OrdName) -> OrdName:
-    """a + b: rebuild b's spine on top of a."""
+    """a + b: rebuild b's spine on top of a.
+
+    0 + b is b itself: the rebuild replaces b's zero leaves by zero and
+    keeps every node's index set, so by induction on b it yields b's own
+    tree, and returning b builds no copy of it."""
     if b.is_zero:
         return a
+    if a.is_zero:
+        return b
     key = ("add", a.ident, b.ident)
     hit = _memo.get(key)
     if hit is None:
@@ -167,5 +178,7 @@ def eps0() -> OrdName:
     """acko(w, w, 1), the sup of its members w*k + n: it denotes w^2.
 
     acko(a, b, 1) is a*(b+1), so this is not epsilon_0 (ROADMAP.md, "Make
-    eps0 denote ε0").  acko's memo makes every call return one name."""
+    eps0 denote ε0").  Its outer sup, over 1's one subordinal, is the
+    layer over w's subordinals itself, the sup of the w*(j+2).  acko's memo
+    makes every call return one name."""
     return acko(omega(), omega(), und(1))

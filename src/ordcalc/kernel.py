@@ -494,8 +494,12 @@ def _search(kind: str, a: OrdName, bs, limit: int, budget: int,
 
 
 def _spend(budget: int, st: _SearchState) -> None:
-    if budget <= 0 or st.steps <= 0:
-        raise _Spent("search budget exhausted")
+    """Charge one search step, naming the budget that ran out: the depth
+    left to this goal or the steps left to the whole search."""
+    if budget <= 0:
+        raise _Spent("search budget exhausted: depth")
+    if st.steps <= 0:
+        raise _Spent("search budget exhausted: steps")
     st.steps -= 1
 
 

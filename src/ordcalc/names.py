@@ -450,12 +450,29 @@ def sup_family(family: Family) -> OrdName:
     return node
 
 
+def _own_sup(members: tuple) -> Optional[OrdName]:
+    """The one member of members when it is naturally indexed with no finite
+    arity, else None.  Such a member is its own sup: sup_order of it alone
+    lists (0, i) for i = 0, 1, 2, ..., so the flattened sup has member i's
+    subordinals in member i's order, the same tree."""
+    if len(members) == 1:
+        m = members[0]
+        if m.index is NAT and m.arity is None:
+            return m
+    return None
+
+
 def _sup_of_members(members: tuple) -> OrdName:
+    """The flattened sup of nonzero members; a member that is its own sup
+    (``_own_sup``) is returned, not rebuilt."""
     if not members:
         raise ValueError("sup of an empty family")
     for m in members:
         if m.is_zero:
             raise ValueError("sup over a family containing zero")
+    own = _own_sup(members)
+    if own is not None:
+        return own
     flat = _flat(members)
     if flat is not None:
         return _node_fin(flat)
@@ -509,10 +526,12 @@ def sup_decomposition(alpha: OrdName, members) -> bool:
     """Does alpha denote the flattened sup of exactly these members?
 
     When every member has a finite arity alpha must be the interned node
-    over their concatenated subordinals, which is looked up, not built;
-    otherwise alpha must be the sup ``_sups`` holds for these members.  A
-    finite Family counts as its member tuple, and a natural one asks
-    whether alpha is that family's sup.
+    over their concatenated subordinals, which is looked up, not built; a
+    lone naturally indexed member with no finite arity lists its own
+    subordinals in its own order (``_own_sup``), so alpha must be that
+    member; otherwise alpha must be the sup ``_sups`` holds for these
+    members.  A finite Family counts as its member tuple, and a natural one
+    asks whether alpha is that family's sup.
     """
     if isinstance(members, Family):
         if members.index is NAT:
@@ -521,6 +540,9 @@ def sup_decomposition(alpha: OrdName, members) -> bool:
     members = tuple(m for m in members if not m.is_zero)
     if not members:
         return alpha.is_zero
+    own = _own_sup(members)
+    if own is not None:
+        return own is alpha
     flat = _flat(members)
     return (_sups.get(members) if flat is None else _intern.get(flat)) is alpha
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from ordcalc import arith, compare, kernel, oracle
 from ordcalc.arith import END, LinearIndexOrder, acko, add, eps0, mul, pow, seq_sum
 from ordcalc.compare import Ordering, cmp_finitary
+from ordcalc.expr import lower, parse_expr
 from ordcalc.names import Family, Fin, NAT, ZERO, omega, sup_finite, und
 
 from .conftest import finitary_names, seeded_pairs
@@ -71,7 +72,7 @@ class TestAdd:
 
     @given(finitary_names())
     def test_left_zero_is_identity(self, a):
-        assert _eq(add(ZERO, a), a)
+        assert add(ZERO, a) is a
 
     def test_one_plus_omega_is_omega(self):
         fwd, back = kernel.eq_certs(add(und(1), omega()), omega())
@@ -83,6 +84,36 @@ class TestAdd:
     def test_one_plus_alpha_differs_on_finitary(self, a):
         # omega <= alpha fails here, so 1 + alpha must exceed alpha
         assert _lt(a, add(und(1), a))
+
+
+class TestSharedTrees:
+    """Arithmetic that rebuilds a tree it already has returns the name it
+    has: 0 + b is b, and a sup of one naturally indexed member of no finite
+    arity is that member.  Names that denote one ordinal through different
+    trees stay distinct."""
+
+    @staticmethod
+    def _name(text):
+        return lower(parse_expr(text))
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("w*2", "w+w"), ("w*3", "w*2+w"), ("w*1", "w"),
+        ("w^2*2", "w^2+w^2")])
+    def test_one_tree_is_one_name(self, lhs, rhs):
+        assert self._name(lhs) is self._name(rhs)
+
+    def test_zero_plus_omega_is_omega(self):
+        assert add(ZERO, omega()) is omega()
+
+    @pytest.mark.parametrize("lhs, rhs", [
+        ("1+w", "w"), ("w^2", "w*w"), ("sup(w,3)", "w")])
+    def test_one_ordinal_through_two_trees_stays_two_names(self, lhs, rhs):
+        assert self._name(lhs) is not self._name(rhs)
+
+    def test_equal_names_certify_by_reflexivity(self):
+        w2 = mul(omega(), und(2))
+        assert kernel.eq_certs(w2, add(omega(), omega())) == (
+            kernel.refl(w2), kernel.refl(w2))
 
 
 class TestSeqSum:

@@ -172,6 +172,17 @@ def test_sup_le_intro_over_a_natural_family():
     assert verify(cert, SPOT).ok
 
 
+def test_sup_rules_on_a_one_member_sup():
+    # w is the sup of (w,) and of (w, 0): both rules accept it as the sup
+    # and build derivations verify checks like any other
+    cert = sup_le_intro(w, (w,), (w1,), premises=(_le(w, w1),))
+    assert cert.conclusion == Judgment("le", w, (w1,))
+    assert verify(cert, SPOT).ok
+    cert = sup_lt(_lt(w, w1), _lt(ZERO, w1))
+    assert cert.conclusion == Judgment("lt", w, (w1,))
+    assert verify(cert, SPOT).ok
+
+
 def test_transitivity_through_a_sup_middle():
     middle = (w, und(3))
     cert = trans_lt_le(lt_cert(und(5), middle), _le(w3, w1))

@@ -23,6 +23,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "cmp_2_3.txt": (["cmp", "2", "3"], 0),
     "cmp_w_w.txt": (["cmp", "w", "w"], 0),
+    "cmp_w2_ww.txt": (["cmp", "w*2", "w+w"], 0),
     "cmp_w_1pw.txt": (["cmp", "w", "1+w"], 3),
     "cmp_w_1pw_kernel.txt": (["cmp", "w", "1+w", "--kernel"], 0),
     "cmp_ww_w2_kernel.txt": (["cmp", "w^w", "w*2", "--kernel"], 0),
@@ -249,7 +250,7 @@ class TestCliContract:
         assert "lt true\n" in out
 
     def test_unknown_without_kernel_exits_3(self):
-        code, out, _ = run_cli(["cmp", "w*2", "w+w"])
+        code, out, _ = run_cli(["cmp", "w^2", "w*w"])
         assert code == 3
         assert out.endswith("verdict unknown\n")
 
@@ -280,7 +281,7 @@ class TestCliContract:
         # a definite verdict whose certificate the search cannot find, or
         # cannot write out, prints the reason and no certificate at all
         for args, reason in (
-                (["cmp", "150", "200"], "search budget exhausted"),
+                (["cmp", "150", "200"], "search budget exhausted: depth"),
                 (["cmp", "w", "w+1"],
                  "cannot serialize a generator-backed certificate")):
             code, out, err = run_cli(args + ["--emit-cert"])

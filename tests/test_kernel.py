@@ -295,9 +295,17 @@ class TestSearch:
         with pytest.raises(CertSearchError):
             le_cert(pow(omega(), omega()), (mul(omega(), und(2)),))
 
+    @pytest.mark.parametrize("search", [le_cert, lt_cert], ids=["le", "lt"])
+    def test_a_product_whose_terms_are_one_name_certifies(self, search):
+        # w^2*2 is the name w^2+w^2; a regression test, since the le search
+        # ran out of its 6,000 steps on this true claim when it was a copy
+        w = omega()
+        cert = search(mul(pow(w, und(2)), und(2)), (pow(w, w),))
+        assert verify(cert, SpotCheck()).ok
+
     def test_budget_exhaustion_reported(self):
-        with pytest.raises(CertSearchError):
-            le_cert(mul(omega(), und(2)), (add(omega(), omega()),), steps=40)
+        with pytest.raises(CertSearchError, match="budget exhausted: steps"):
+            le_cert(pow(omega(), und(2)), (mul(omega(), omega()),), steps=40)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_finite_prefix_absorbed_from_any_memo_state(self, k):
@@ -343,7 +351,7 @@ class TestSearch:
     def test_running_out_of_depth_is_reported_as_such(self):
         # a numeral step takes two depth levels, so the default budget of
         # 256 ends near 128: the failure names the budget, not a selection
-        with pytest.raises(CertSearchError, match="budget exhausted"):
+        with pytest.raises(CertSearchError, match="budget exhausted: depth"):
             le_cert(und(200), (und(201),))
         assert ok(le_cert(und(200), (und(201),), budget=1000))
 

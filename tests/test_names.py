@@ -201,6 +201,23 @@ class TestSupFinite:
         listed = [pair[j].child(i) for j, i in sup_order(pair)]
         assert listed == [t.child(k) for k in range(4)]
 
+    def test_a_lone_natural_member_is_its_own_sup(self):
+        # sup_order of one naturally indexed member of no finite arity lists
+        # (0, i) for i = 0, 1, 2, ...: its sup is its own tree
+        w = omega()
+        assert sup_finite([w]) is w
+        assert sup_finite([ZERO, w]) is w
+        assert sup_family(Family.from_children([w])) is w
+        assert sup_decomposition(w, (w,))
+        assert sup_decomposition(w, (w, ZERO))
+        assert sup_decomposition(w, Family.from_children([w]))
+        assert not sup_decomposition(suc(w), (w,))
+        # a member constant from some index has a finite arity: its sup is
+        # the finite node over its members up to that index
+        steady = mk_node(Family.from_generator(und, const_from=2))
+        assert sup_finite([steady]) is suc_list([und(0), und(1), und(2)])
+        assert not sup_decomposition(steady, (steady,))
+
     def test_refused_decomposition_builds_no_node(self):
         w = mk_node(Family.from_generator(und))
         members = (suc(w), suc_list([und(7), w]))
