@@ -61,11 +61,15 @@ def cmd_cmp(args) -> int:
         return found[label]
 
     # the search itself refuses what normal forms refute; an unknown line
-    # turns true only on a certificate that verify accepts
+    # turns true only on a certificate that verify accepts, or, for a
+    # non-strict line, on its strict line being true, since a < b gives
+    # a <= b (kernel.lt_to_le)
     if args.kernel:
-        for label, v in vs.items():
-            if v.value is None and certified(label)[0] is not None:
-                vs[label] = TRUE
+        for weak, strict in (("le", "lt"), ("ge", "gt")):
+            for label in (strict, weak):
+                if vs[label].value is None and (
+                        vs[strict].value or certified(label)[0] is not None):
+                    vs[label] = TRUE
     vs["eq"] = vs["le"].and_(vs["ge"])
     for label, v in vs.items():
         print(f"{label} {_show(v)}")

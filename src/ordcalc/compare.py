@@ -27,9 +27,11 @@ one of the bounds' first width members: member i of a bound b is below b,
 by lt_intro with the selection {i} and a <= a, so it is below bs.  a <= bs
 is refuted only through a refuted a' < bs, which needs the bounds to have a
 cover (a largest witness selection).  When a has no finite arity and the
-bounds no cover, the engine answers width-truncated at once instead of
-spending its budget, without asking membership; a < bs is then true only
-when a is one of the bounds' first members, which it tests directly.
+bounds no cover, the engine answers a <= bs width-truncated at once instead
+of spending its budget, without asking membership.  a < bs over an a that
+is not finitary is asked by membership first, once, before any selection:
+member i of a bound is below bs by the same lt_intro, and with no finite
+arity and no cover membership is the only verdict there is.
 
 On finitary names both relations come down to comparing tree heights, so
 the engine reads a finitary verdict off the heights in one step at any fuel
@@ -489,11 +491,18 @@ def _lt(a: OrdName, rec: _Bounds, width: int, depth: int,
     cover = rec.cover
     if cover == 0:
         return FALSE
-    if a.arity is None and cover is None:
-        # with no finite arity, a is below a selection only as one of its
-        # members, and with no cover no refuted selection refutes a < bs:
-        # only membership can give a verdict
-        return TRUE if _in_prefix(a, rec, width) else _unknown(WIDTH_TRUNCATED)
+    if not a.is_finitary:
+        if _in_prefix(a, rec, width):
+            # a is member i of a bound b, so a < b by lt_intro with the
+            # selection {i} and a <= a; asked before any selection, since
+            # confirming a member through the selections can take the
+            # whole budget (w+4 against w+w)
+            return TRUE
+        if a.arity is None and cover is None:
+            # with no finite arity, a is below a selection only as one of
+            # its members, and with no cover no refuted selection refutes
+            # a < bs: only membership could give a verdict
+            return _unknown(WIDTH_TRUNCATED)
     top = width if cover is None else min(width, cover)
     start = 1
     if a.is_finitary:

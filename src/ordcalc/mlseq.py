@@ -103,15 +103,16 @@ def ml_derivable(goal: Sequent) -> bool:
     universe.  The universe is finite, so the closure terminates.
 
     Only sequents of *useful* atoms, those some chain of rewrites turns into
-    a goal atom, are popped for the rules: read backwards, R1 makes x <= c
-    useful for x < w and each child c of w, and R2 makes c < y useful for
-    x <= y and each child c of x.  Both rules carry every non-principal atom
-    of a premise into the conclusion, so a sequent holding a useless atom
-    derives only sequents that hold one, none of them a subset of the goal.
-    Skipping them loses no derivation of the goal, and a goal with no useful
-    seed is refused without applying a rule.  A useless sequent is still
-    kept once pushed, where it subsumes only useless sequents and fills R2
-    slots only in useless conclusions.
+    a goal atom, are stored: read backwards, R1 makes x <= c useful for
+    x < w and each child c of w, and R2 makes c < y useful for x <= y and
+    each child c of x.  Both rules carry every non-principal atom of a
+    premise into the conclusion, so a sequent holding a useless atom derives
+    only sequents that hold one, none of them a subset of the goal.  Nor
+    does storing it help elsewhere: it subsumes only sequents that hold its
+    useless atom, and it fills R2 slots only in conclusions that are useless
+    themselves, since a useful head w <= y makes every slot atom c < y
+    useful.  So push drops it, which loses no derivation of the goal, and a
+    goal with no useful seed is refused without applying a rule.
     """
     goal = sequent(goal)
     names = _universe(goal)
@@ -149,7 +150,7 @@ def ml_derivable(goal: Sequent) -> bool:
     queue: List[FrozenSet[int]] = []
 
     def push(s: FrozenSet[int]) -> None:
-        if any(m <= s for a in s for m in index.get(a, ())):
+        if not s <= useful or any(m <= s for a in s for m in index.get(a, ())):
             return
         for m in list(min((index.get(a, ()) for a in s), key=len)):
             if s <= m:
@@ -166,7 +167,7 @@ def ml_derivable(goal: Sequent) -> bool:
 
     while queue:
         s = queue.pop()
-        if s not in live or not s <= useful:
+        if s not in live:
             continue
         if s <= target:
             return True

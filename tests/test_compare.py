@@ -207,6 +207,28 @@ class TestLeByMembership:
         assert (v.value, evals) == (True, 1)
 
 
+class TestLtByMembership:
+    """a < bs over an lhs that is not finitary is asked by membership
+    before any selection, whatever the lhs's arity and the bounds' cover:
+    member i of a bound is below it by lt_intro with the selection {i}."""
+
+    @pytest.mark.parametrize("a, b", [("w+4", "w+w"), ("w+10", "w*2"),
+                                      ("w*2+5", "w*3"), ("w+2", "w+w")])
+    def test_a_member_is_confirmed_without_a_selection(self, a, b):
+        # w+4 is member 4 of w+w; the selection scan alone confirms it
+        # only after spending the whole default budget
+        v, evals = _evals_of(lt, lower(parse_expr(a)), (lower(parse_expr(b)),))
+        assert v.is_true
+        assert evals <= 2
+
+    def test_a_member_of_a_finite_bound_is_confirmed(self):
+        # w+1 has a finite arity and the bound a cover, yet w+1 is its member
+        w1 = lower(parse_expr("w+1"))
+        bound = suc_list([ZERO, w1, und(2)])
+        v, evals = _evals_of(lt, w1, (bound,))
+        assert (v.value, evals) == (True, 1)
+
+
 def _evals_of(rel, a, bs, fuel=Fuel()):
     clear_memo()
     v = rel(a, bs, fuel)

@@ -30,6 +30,8 @@ GOLDEN_CASES = {
     "cmp_1_2_emit.txt": (["cmp", "1", "2", "--emit-cert"], 0),
     "cmp_300_301.txt": (["cmp", "300", "301"], 0),
     "cmp_wp1_w.txt": (["cmp", "w+1", "w"], 0),
+    "cmp_wp4_w2.txt": (["cmp", "w+4", "w*2"], 0),
+    "cmp_wp300_wp301_kernel.txt": (["cmp", "w+300", "w+301", "--kernel"], 0),
     "tree_3.txt": (["tree", "3", "--mu-bound", "4"], 0),
     "tree_w.txt": (["tree", "w", "--mu-bound", "3"], 0),
     "demo_lpo_opaque.txt": (["demo", "lpo", "--prefix", "001",
@@ -271,6 +273,19 @@ class TestCliContract:
         code, out, _ = run_cli(["cmp", "w*2", bound, "--kernel"])
         assert code == 3
         assert "le unknown\n" in out and "lt unknown\n" in out
+
+    def test_a_true_strict_line_settles_its_weak_line_under_kernel(self):
+        # the engine says lt, and no le certificate is found, yet a < b
+        # gives a <= b; gt gives ge the same way.  Without --kernel the
+        # lines stay as the engine left them
+        for args, weak, strict in ((["w+300", "w+301"], "le", "lt"),
+                                   (["w+301", "w+300"], "ge", "gt")):
+            code, out, _ = run_cli(["cmp"] + args + ["--kernel"])
+            assert code == 0
+            assert f"{weak} true\n" in out and f"{strict} true\n" in out
+            assert "eq unknown\n" in out
+            code, out, _ = run_cli(["cmp"] + args)
+            assert f"{weak} unknown\n" in out and f"{strict} true\n" in out
 
     def test_emit_cert_without_a_verdict_exits_3(self):
         code, _, err = run_cli(["cmp", "w", "1+w", "--emit-cert"])
