@@ -191,15 +191,11 @@ def format_expr(e: Expr) -> str:
 NUMERAL_LIMIT = 512
 
 
-class _TooDeep(Exception):
-    def __init__(self, value: int):
-        super().__init__(str(value))
-        self.value = value
-
-
 def _chk(v: int) -> int:
     if v > NUMERAL_LIMIT:
-        raise _TooDeep(v)
+        raise ValueError(
+            f"numeral of magnitude {v} is too deep to take part in"
+            f" arithmetic (limit {NUMERAL_LIMIT})")
     return v
 
 
@@ -268,12 +264,7 @@ def lower(e: Expr) -> OrdName:
     NUMERAL_LIMIT; ValueError past that, since the name would be deeper
     than any stack the construction could recurse on.
     """
-    try:
-        _numeral(e)
-    except _TooDeep as t:
-        raise ValueError(
-            f"numeral of magnitude {t.value} is too deep to take part in"
-            f" arithmetic (limit {NUMERAL_LIMIT})") from None
+    _numeral(e)
     return _lower(e)
 
 

@@ -447,6 +447,10 @@ def drop_left(p: Certificate, other: OrdName) -> Certificate:
 
 # search nodes one le_cert/lt_cert call may expand before giving up
 SEARCH_STEPS = 6_000
+# members a selection or a sweep reaches, widened for deep goals (_finite_part)
+SEARCH_LIMIT = 48
+# recursion depth one le_cert/lt_cert call may descend
+SEARCH_BUDGET = 256
 
 
 class _SearchState:
@@ -454,36 +458,33 @@ class _SearchState:
     counter and a memo from each goal to the certificate found for it.
     Identical subgoals recur heavily (sibling candidates peel the same
     spines), so found certificates are reused; a failed goal is searched
-    again when it recurs.  start is the call's step allowance; done marks a
-    search that has returned."""
+    again when it recurs.  done marks a search that has returned."""
 
-    __slots__ = ("steps", "memo", "start", "done")
+    __slots__ = ("steps", "memo", "done")
 
-    def __init__(self, steps: int):
-        self.steps = self.start = steps
+    def __init__(self):
+        self.steps = SEARCH_STEPS
         self.memo: dict = {}
         self.done = False
 
 
-def le_cert(a: OrdName, bs, limit: int = 48, budget: int = 256,
-            steps: int = SEARCH_STEPS) -> Certificate:
+def le_cert(a: OrdName, bs) -> Certificate:
     """Search for a certificate of a <= bs, steered by Cantor normal forms.
 
-    limit caps selection sizes (scaled up for deep premises), budget the
-    recursion depth, steps the total nodes expanded.  The result carries no
-    authority of its own; verify it."""
-    return _search("le", a, bs, limit, budget, steps)
+    SEARCH_LIMIT caps selection sizes (widened for deep goals),
+    SEARCH_BUDGET the recursion depth, SEARCH_STEPS the total nodes
+    expanded.  The result carries no authority of its own; verify it."""
+    return _search("le", a, bs, SEARCH_LIMIT, SEARCH_BUDGET)
 
 
-def lt_cert(a: OrdName, bs, limit: int = 48, budget: int = 256,
-            steps: int = SEARCH_STEPS) -> Certificate:
+def lt_cert(a: OrdName, bs) -> Certificate:
     """Search for a certificate of a < bs."""
-    return _search("lt", a, bs, limit, budget, steps)
+    return _search("lt", a, bs, SEARCH_LIMIT, SEARCH_BUDGET)
 
 
-def _search(kind: str, a: OrdName, bs, limit: int, budget: int,
-            steps: int) -> Certificate:
-    st = _SearchState(steps)
+def _search(kind: str, a: OrdName, bs, limit: int,
+            budget: int) -> Certificate:
+    st = _SearchState()
     try:
         return _settle(kind, a, _rhs(bs), limit, budget, st)
     finally:
@@ -509,7 +510,7 @@ def _settle(kind: str, a: OrdName, bs: tuple, limit: int, budget: int,
     st once found.  A goal posed after st's search returned is a search of
     its own."""
     if st.done:
-        return _search(kind, a, bs, limit, budget, st.start)
+        return _search(kind, a, bs, limit, budget)
     key = (kind, a.ident, tuple(sorted(b.ident for b in bs)))
     cert = st.memo.get(key)
     if cert is None:
@@ -530,6 +531,17 @@ def _refuted(kind: str, a: OrdName, bs: tuple) -> bool:
     return order > 0 or order == 0 and kind == "lt"
 
 
+def _finite_part(a: OrdName) -> int:
+    """The finite part of a's ordinal as far as a's shape shows it: a
+    finitary name's height, else the w^0 coefficient of its form, else 0.
+    The natural n is first reached at member n of w, so a goal with finite
+    part n needs selections at least n + 1 wide."""
+    if a.height is not None:
+        return a.height
+    form = a.cnf
+    return form[-1][1] if form and not form[-1][0] else 0
+
+
 def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
              st: _SearchState) -> Certificate:
     _spend(budget, st)
@@ -544,20 +556,13 @@ def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
 
     def prem(i: int) -> Certificate:
         # deep premises may need selections about as wide as their index
-        # or, for successor stacks such as member i of k+w, as their stack
+        # or as their finite part, such as member i of k+w, the natural k+i
         member = compare.child(a, i)
         return _settle("lt", member, bs,
-                       max(limit, i + 2, member.stack + 2), budget - 1, st)
+                       max(limit, i + 2, _finite_part(member) + 2),
+                       budget - 1, st)
 
     if a.arity is None:
-        # Against purely finitary bounds a naturally indexed family needs a
-        # totality argument the sampled premise checks cannot supply;
-        # guessing a generator here can smuggle in a premise that fails
-        # beyond the samples.
-        if all(b.is_finitary for b in bs):
-            raise CertSearchError(
-                f"no finite evidence that every member of {a!r} stays below"
-                " finitary bounds")
         # Only forms on both sides refute the members past the sweep, which
         # may outgrow the bounds there: ack(w,2,2) <= w*7 is false, yet its
         # first 48 members are below w*7.  A formless bound is no better:
@@ -639,7 +644,7 @@ def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
         raise CertSearchError(f"guidance refutes {a!r} < {list(bs)!r}")
     # widen as prem does: the numeral 60 is first reached at member 60 of w
     spent = None
-    for sels in _steered(a, bs, max(limit, a.stack + 2)):
+    for sels in _steered(a, bs, max(limit, _finite_part(a) + 2)):
         _spend(budget, st)
         try:
             inner = _settle("le", a, _selected(bs, sels), limit, budget - 1,
@@ -655,10 +660,9 @@ def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
         f"no selection bounds {a!r} within {list(bs)!r}")
 
 
-def eq_certs(a: OrdName, b: OrdName,
-             limit: int = 48) -> Tuple[Certificate, Certificate]:
+def eq_certs(a: OrdName, b: OrdName) -> Tuple[Certificate, Certificate]:
     """Certificates for both directions of a = b."""
-    return le_cert(a, (b,), limit), le_cert(b, (a,), limit)
+    return le_cert(a, (b,)), le_cert(b, (a,))
 
 
 def filtering_eq_certs(alpha: OrdName) -> Tuple[Certificate, Certificate]:

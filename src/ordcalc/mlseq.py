@@ -10,9 +10,11 @@ Zero has no subordinals, so R2 gives every sequent containing 0 <= b outright.
 
 ``ml_derivable`` decides derivability of finitary sequents by a forward
 closure that tracks the minimal derivable sequents; side contexts make
-derivability upward closed, so tracking minima loses nothing.  The closure
+derivability upward closed, so tracking minima loses nothing.  On finitary
+names these minima are single atoms (the invariant ``ml_derivable``
+proves), so no sequent the closure stores subsumes another.  The closure
 is a semi-naive worklist: each new sequent meets the known ones once,
-through an index from atom to the minimal sequents holding it.  It is
+through an index from atom to the stored sequents holding it.  It is
 goal-directed: both rules carry every non-principal atom of a premise into
 the conclusion, so only sequents whose atoms can each be rewritten into a
 goal atom can lead to the goal, and the closure applies no rule to any
@@ -97,10 +99,19 @@ def ml_derivable(goal: Sequent) -> bool:
     Saturates the set of minimal derivable sequents over the goal's subterm
     universe by a semi-naive worklist: seeds are the zero-rule instances
     {0 <= b}, and each sequent, once popped, meets the known ones only
-    through an index from atom to the minimal sequents containing it.  R1
+    through an index from atom to the stored sequents containing it.  R1
     rewrites one of its non-strict atoms; R2 puts it in one subordinal slot
     and fills the others from the index.  Atoms are coded as ints over the
     universe.  The universe is finite, so the closure terminates.
+
+    Every sequent pushed is a single atom, by induction on the rules: each
+    seed is one, R1 swaps a singleton's one atom for another, and R2's
+    conclusion is its head plus what each slot's sequent holds besides its
+    slot atom, which for a singleton is nothing.  Distinct singletons never
+    subsume each other, so no stored sequent is ever made redundant by a
+    later one.  The answer does not rest on this: every stored sequent is
+    derivable, and every pushed one is popped and tested against the goal,
+    so an empty queue means no derivation of the goal was found.
 
     Only sequents of *useful* atoms, those some chain of rewrites turns into
     a goal atom, are stored: read backwards, R1 makes x <= c useful for
@@ -145,19 +156,12 @@ def ml_derivable(goal: Sequent) -> bool:
                 useful.add(a)
                 todo.append(a)
 
-    index: dict = {}  # atom -> the minimal sequents containing it
-    live: set = set()
+    index: dict = {}  # atom -> the stored sequents containing it
     queue: List[FrozenSet[int]] = []
 
     def push(s: FrozenSet[int]) -> None:
         if not s <= useful or any(m <= s for a in s for m in index.get(a, ())):
             return
-        for m in list(min((index.get(a, ()) for a in s), key=len)):
-            if s <= m:
-                live.discard(m)
-                for a in m:
-                    index[a].discard(m)
-        live.add(s)
         for a in s:
             index.setdefault(a, set()).add(s)
         queue.append(s)
@@ -167,8 +171,6 @@ def ml_derivable(goal: Sequent) -> bool:
 
     while queue:
         s = queue.pop()
-        if s not in live:
-            continue
         if s <= target:
             return True
         for atom in s:
@@ -187,7 +189,7 @@ def ml_derivable(goal: Sequent) -> bool:
                     for m, q in zip(combo, qs):
                         gamma |= m - {q}
                     push(frozenset(gamma))
-    return any(m <= target for m in live)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ class OrdName:
     """Base class: either the zero name or a node over a family.
 
     A name's shape is fixed when it is built, from its family and the names
-    built before it, and is recorded in six slots (besides ``ident``):
+    built before it, and is recorded in five slots (besides ``ident``):
 
     - ``index``: its index set, the shared ``fin(k)`` over k members (zero
       is over ``fin(0)``) or NAT;
@@ -194,8 +194,6 @@ class OrdName:
       family constant from c, None over any other natural family, 0 for zero;
     - ``height``: on a finitary name its tree height, else None;
     - ``width``: on a finitary name its largest index set, else None;
-    - ``stack``: how many unary nodes sit on top of the first wider node or
-      zero;
     - ``cnf``: on an infinitary name whose construction shows its Cantor
       normal form, that form (see ``cnf.of``), else None.  It is a hint for
       search only, and nothing checks it.
@@ -204,7 +202,7 @@ class OrdName:
     and ``forms`` over it (see Node).
     """
 
-    __slots__ = ("ident", "index", "arity", "height", "width", "stack", "cnf")
+    __slots__ = ("ident", "index", "arity", "height", "width", "cnf")
 
     @property
     def is_zero(self) -> bool:
@@ -230,7 +228,7 @@ class _ZeroName(OrdName):
 
     def __new__(cls) -> "_ZeroName":
         inst = super().__new__(cls)
-        inst.ident = inst.arity = inst.height = inst.width = inst.stack = 0
+        inst.ident = inst.arity = inst.height = inst.width = 0
         inst.index = fin(0)
         inst.cnf = None
         return inst
@@ -262,7 +260,6 @@ class Node(OrdName):
         self.ident = _fresh_ident()
         self.height = self.width = self.cnf = self._family = None
         self.heights = self.forms = ()
-        self.stack = 0
         if isinstance(members, Family):
             self.index = NAT
             self._family = members
@@ -273,8 +270,6 @@ class Node(OrdName):
         self.pulled = members
         self.index = fin(len(members))
         self.arity = len(members)
-        if len(members) == 1:
-            self.stack = members[0].stack + 1
         heights = [c.height for c in members]
         if None not in heights:
             self.height = 1 + max(heights)
@@ -650,8 +645,9 @@ def max_fin_width(alpha: OrdName) -> int:
 
 
 def und_value(alpha: OrdName) -> Optional[int]:
-    """n when alpha is the chain und(n), else None."""
-    return alpha.stack if alpha.height == alpha.stack else None
+    """n when alpha is the chain und(n), else None: the finitary names no
+    wider than one are exactly those chains."""
+    return alpha.height if alpha.width in (0, 1) else None
 
 
 def format_name(alpha: OrdName) -> str:

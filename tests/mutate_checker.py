@@ -1,14 +1,16 @@
-"""Mutation scan of the trusted checker: would the tests notice a wrong check?
+"""Mutation scan of the trusted checks: would the tests notice a wrong one?
 
     python tests/mutate_checker.py
 
 Negates, one at a time, each comparison and each other boolean test (of an
 ``if``, ``while``, conditional expression or ``and``/``or`` operand) in the
-functions of src/ordcalc/checker.py, and runs TESTS against each mutant in a
-fresh copy of the package.  A mutant that passes every test has survived:
-nothing pins that check.  Prints each survivor with its line, and exits 1
-when there is one or when the tests fail on the unmutated checker.  pytest
-does not collect this script: a run takes about a minute.
+functions of src/ordcalc/checker.py and in the sequent calculus's rule
+checks (mlseq's ``_check_r1``, ``_check_r2`` and ``_check_r2_premise``),
+and runs TESTS against each mutant in a fresh copy of the package.  A
+mutant that passes every test has survived: nothing pins that check.
+Prints each survivor with its file and line, and exits 1 when there is one
+or when the tests fail on the unmutated package.  pytest does not collect
+this script: a run takes about a minute.
 """
 
 import ast
@@ -19,7 +21,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CHECKER = os.path.join(ROOT, "src", "ordcalc", "checker.py")
+# the modules of src/ordcalc to mutate, each with the functions whose tests
+# are negated (None: every function)
+TARGETS = {"checker.py": None,
+           "mlseq.py": ("_check_r1", "_check_r2", "_check_r2_premise")}
 # the tests of the checker's walker and rules, of the calculi built on
 # them, and of its value types (Judgment, the policies, VerifyReport)
 TESTS = ["tests/test_verify_core.py", "tests/test_kernel.py",
@@ -27,13 +32,15 @@ TESTS = ["tests/test_verify_core.py", "tests/test_kernel.py",
          "tests/test_value_types.py"]
 
 
-def sites(tree: ast.Module) -> list:
+def sites(tree: ast.Module, only=None) -> list:
     """The nodes to negate, in source order: every comparison, and every
     other test of a branch or operand of a boolean operator, inside a
-    function."""
+    function, or only inside the functions named in only."""
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        if only is not None and getattr(fn, "name", None) not in only:
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Compare):
@@ -68,29 +75,35 @@ def passes(src_dir: str) -> bool:
 
 
 def main() -> int:
-    with open(CHECKER) as f:
-        source = f.read()
     survivors = []
+    count = 0
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(os.path.join(ROOT, "src", "ordcalc"),
                         os.path.join(tmp, "ordcalc"),
                         ignore=shutil.ignore_patterns("__pycache__"))
-        target = os.path.join(tmp, "ordcalc", "checker.py")
         if not passes(tmp):
-            print("the tests fail on the unmutated checker")
+            print("the tests fail on the unmutated package")
             return 1
-        count = len(sites(ast.parse(source)))
-        for k in range(count):
-            # a fresh tree each time, so that the k-th site is negated alone
-            tree = ast.parse(source)
-            node = sites(tree)[k]
-            where = f"checker.py:{node.lineno}: not ({ast.unparse(node)})"
-            mutant = ast.fix_missing_locations(_Negate(node).visit(tree))
+        for name, only in TARGETS.items():
+            with open(os.path.join(ROOT, "src", "ordcalc", name)) as f:
+                source = f.read()
+            target = os.path.join(tmp, "ordcalc", name)
+            total = len(sites(ast.parse(source), only))
+            for k in range(total):
+                # a fresh tree each time, so the k-th site is negated alone
+                tree = ast.parse(source)
+                node = sites(tree, only)[k]
+                where = f"{name}:{node.lineno}: not ({ast.unparse(node)})"
+                mutant = ast.fix_missing_locations(_Negate(node).visit(tree))
+                with open(target, "w") as f:
+                    f.write(ast.unparse(mutant))
+                if passes(tmp):
+                    survivors.append(where)
+                    print(f"SURVIVED {where}")
+            # the next module's mutants run against this one unmutated
             with open(target, "w") as f:
-                f.write(ast.unparse(mutant))
-            if passes(tmp):
-                survivors.append(where)
-                print(f"SURVIVED {where}")
+                f.write(source)
+            count += total
     print(f"{count} mutants, {count - len(survivors)} killed,"
           f" {len(survivors)} survived")
     return 1 if survivors else 0

@@ -28,6 +28,7 @@ GOLDEN_CASES = {
     "cmp_w_1pw_kernel.txt": (["cmp", "w", "1+w", "--kernel"], 0),
     "cmp_ww_w2_kernel.txt": (["cmp", "w^w", "w*2", "--kernel"], 0),
     "cmp_1_2_emit.txt": (["cmp", "1", "2", "--emit-cert"], 0),
+    "cmp_suc59_w_emit.txt": (["cmp", "suc(59,0)", "w", "--emit-cert"], 0),
     "cmp_300_301.txt": (["cmp", "300", "301"], 0),
     "cmp_wp1_w.txt": (["cmp", "w+1", "w"], 0),
     "cmp_wp4_w2.txt": (["cmp", "w+4", "w*2"], 0),
@@ -273,6 +274,14 @@ class TestCliContract:
         code, out, _ = run_cli(["cmp", "w*2", bound, "--kernel"])
         assert code == 3
         assert "le unknown\n" in out and "lt unknown\n" in out
+
+    def test_a_natural_family_equal_to_a_numeral_settles_under_kernel(self):
+        # 1^w is 1: the engine leaves le unknown, and the search certifies
+        # it, the forms of both sides vouching for the members past the
+        # sweep over 1^w's members
+        code, out, _ = run_cli(["cmp", "1^w", "1", "--kernel"])
+        assert code == 0
+        assert out.endswith("verdict eq\n")
 
     def test_a_true_strict_line_settles_its_weak_line_under_kernel(self):
         # the engine says lt, and no le certificate is found, yet a < b

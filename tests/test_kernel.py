@@ -2,7 +2,7 @@
 
 import pytest
 
-from ordcalc import cnf, compare
+from ordcalc import cnf, compare, kernel
 from ordcalc.arith import acko, add, eps0, mul, pow
 from ordcalc.checker import (Certificate, Exhaustive, Judgment, KernelError,
                              SpotCheck, incompatible, serialize, verify)
@@ -303,9 +303,10 @@ class TestSearch:
         cert = search(mul(pow(w, und(2)), und(2)), (pow(w, w),))
         assert verify(cert, SpotCheck()).ok
 
-    def test_budget_exhaustion_reported(self):
+    def test_budget_exhaustion_reported(self, monkeypatch):
+        monkeypatch.setattr(kernel, "SEARCH_STEPS", 40)
         with pytest.raises(CertSearchError, match="budget exhausted: steps"):
-            le_cert(pow(omega(), und(2)), (mul(omega(), omega()),), steps=40)
+            le_cert(pow(omega(), und(2)), (mul(omega(), omega()),))
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_finite_prefix_absorbed_from_any_memo_state(self, k):
@@ -348,12 +349,13 @@ class TestSearch:
         for n in (47, 48, 60, 63):
             assert ok(lt_cert(und(n), (omega(),)), SPOT)
 
-    def test_running_out_of_depth_is_reported_as_such(self):
+    def test_running_out_of_depth_is_reported_as_such(self, monkeypatch):
         # a numeral step takes two depth levels, so the default budget of
         # 256 ends near 128: the failure names the budget, not a selection
         with pytest.raises(CertSearchError, match="budget exhausted: depth"):
             le_cert(und(200), (und(201),))
-        assert ok(le_cert(und(200), (und(201),), budget=1000))
+        monkeypatch.setattr(kernel, "SEARCH_BUDGET", 1000)
+        assert ok(le_cert(und(200), (und(201),)))
 
 
 class TestFormOnlySearch:
@@ -386,6 +388,19 @@ class TestFormOnlySearch:
         assert cnf.of(bound) is None
         assert _outcome(lambda: le_cert(mul(omega(), und(2)), (bound,)),
                         SpotCheck((0, 1, 2, 5, 17, 40))) == "refused"
+
+    def test_naturally_indexed_lhs_below_a_finitary_bound(self):
+        # 1^w is 1, so it is below the bound 1: the forms vouch for the
+        # members past the sweep, and also refute 1^w <= 0
+        one_w = pow(und(1), omega())
+        assert ok(le_cert(one_w, (und(1),)), SpotCheck())
+        with pytest.raises(CertSearchError, match="guidance refutes"):
+            le_cert(one_w, (ZERO,))
+
+    def test_a_wide_numeral_is_reached_through_its_height(self):
+        # suc(59,0) is the natural 60 though its top node is not unary, so
+        # only its height says to select member 60 of w
+        assert ok(lt_cert(suc_list([und(59), ZERO]), (omega(),)), SPOT)
 
     @pytest.fixture
     def no_engine(self, monkeypatch):

@@ -394,7 +394,6 @@ class TestFold:
         assert a.height == oracle.val(a) == structural_depth(a)
         assert a.width == _width(a) == max_fin_width(a)
         assert a.arity == _arity(a)
-        assert a.stack == _stack(a)
 
     def test_zero_gets_empty_view(self):
         seen = []
@@ -416,12 +415,6 @@ def _arity(a):
         return a.index.size
     cf = a.family.const_from
     return None if cf is None else cf + 1
-
-
-def _stack(a):
-    if a.is_zero or a.index != Fin(1):
-        return 0
-    return 1 + _stack(a.child(0))
 
 
 @pytest.mark.parametrize("build, arity", [
@@ -448,10 +441,17 @@ def test_infinitary_shape(build, arity):
 
 def test_stack_is_independent_of_build_order():
     tall = und(600)
-    assert (tall.stack, und_value(tall)) == (600, 600)
-    assert (und(89).stack, und_value(und(89))) == (89, 89)
-    assert suc(omega()).stack == 1 and und_value(suc(omega())) is None
-    assert omega().stack == 0
+    assert und_value(tall) == 600
+    assert und_value(und(89)) == 89
+    assert und_value(suc(omega())) is None
+
+
+@given(finitary_names())
+@settings(max_examples=40)
+def test_und_value_reads_exactly_the_chains(a):
+    # finitary names are interned, so a is a chain exactly when it is the
+    # chain of its height
+    assert und_value(a) == (a.height if und(a.height) is a else None)
 
 
 class TestBitSequences:

@@ -8,9 +8,10 @@ the ordcalc package under BASE_SRC and once with the one under CHANGE_SRC
 (default: this checkout's src/), each side in a fresh interpreter.  Exits 1
 when a verdict that is definite on the base side is unknown or flipped on
 the change side; an unknown that becomes definite, or changes its reason,
-is counted but allowed.  Each table's summed evals on both sides, and
-how many queries' eval counts moved, are printed too, to show cost drift;
-they do not affect the exit code.  The tests import the same tables, but
+is counted but allowed.  Each table's summed evals on both sides, and on
+how many queries the eval count rose and on how many it fell, are printed
+too, to show the direction of cost drift; they do not affect the exit
+code.  The tests import the same tables, but
 do not collect this script: a run takes about ten seconds a side.
 """
 
@@ -78,11 +79,12 @@ def compare(base: dict, change: dict) -> list:
         definite = [sum(v[0] is not None for v in side.values())
                     for side in (rows, now)]
         evals = [sum(v[2] for v in side.values()) for side in (rows, now)]
-        drifted = sum(rows[q][2] != now[q][2] for q in rows)
+        rose = sum(now[q][2] > rows[q][2] for q in rows)
+        fell = sum(now[q][2] < rows[q][2] for q in rows)
         print(f"{table}: {len(rows)} queries, definite {definite[0]} -> "
               f"{definite[1]}, lost or flipped {len(lost)}, gained {gained}, "
               f"unknown with another reason {moved}; evals {evals[0]} -> "
-              f"{evals[1]}, moved on {drifted} queries")
+              f"{evals[1]}, rose on {rose} queries, fell on {fell}")
         bad += lost
     return bad
 
