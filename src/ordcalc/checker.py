@@ -2,16 +2,17 @@
 
 A certificate is a tree (shared subtrees allowed) whose nodes each apply one
 inference rule to premise certificates and claim a conclusion, a
-``Judgment``.  The checker trusts three rules: ``le_intro`` and
-``lt_intro``, the defining clauses of <= and <, and ``weaken``.  ``verify``
-walks a certificate and independently rederives every visited conclusion
-from the rule and premises, so nothing is trusted at construction time.
-Premises below a naturally indexed family are held as a generator, so
-certificates about infinitely branching names are finite objects; verifying
-those requires a spot-check policy, since an exhaustive walk is only
-meaningful when every branching is finite.  Each rule is one entry of a
-rule table read by a single walker, ``check_derivation``; the sequent
-calculus (``mlseq``) runs the same walker over a table of its own.
+``Judgment``.  The checker trusts two rules, ``le_intro`` and ``lt_intro``,
+the defining clauses of <= and <; weakening and the other structural rules
+are derived (``kernel``).  ``verify`` walks a certificate and independently
+rederives every visited conclusion from the rule and premises, so nothing
+is trusted at construction time.  Premises below a naturally indexed family
+are held as a generator, so certificates about infinitely branching names
+are finite objects; verifying those requires a spot-check policy, since an
+exhaustive walk is only meaningful when every branching is finite.  Each
+rule is one entry of a rule table read by a single walker,
+``check_derivation``; the sequent calculus (``mlseq``) runs the same walker
+over a table of its own.
 
 Nothing else vouches for a judgment.  The rule constructors, the derived
 rules and the certificate search (``kernel``) only build certificates, and
@@ -136,36 +137,17 @@ def _ids(names: Sequence[OrdName]) -> frozenset:
     return frozenset(n.ident for n in names)
 
 
-def subordinal_premises(x: OrdName, premises=None, gen=None) -> dict:
-    """The premise slots of a rule with one premise per subordinal of x
-    (le_intro, and R2 of the sequent calculus): none for zero, a tuple for
-    finite branching, a generator over the naturals otherwise."""
-    if x.is_zero:
-        if premises or gen:
-            raise KernelError("zero takes no premises")
-        return {}
-    if isinstance(x.index, Fin):
-        if gen is not None or premises is None:
-            raise KernelError("finitely branching name takes a premise tuple")
-        premises = tuple(premises)
-        if len(premises) != x.index.size:
-            raise KernelError(
-                f"need {x.index.size} premises, got {len(premises)}")
-        return {"premises": premises}
-    if gen is None or premises:
-        raise KernelError("naturally indexed name takes a premise generator")
-    return {"gen": gen}
-
-
 def subordinal_arity(x: OrdName, c: Certificate) -> Optional[str]:
-    """The verifier's side of subordinal_premises: a failure reason, or
-    None when c's premises have the shape x's subordinals demand."""
+    """The premise shape of a rule with one premise per subordinal of x
+    (le_intro, and R2 of the sequent calculus): none for zero, a tuple for
+    finite branching, else a generator and no tuple.  A failure reason, or
+    None when c's premises have that shape."""
     if x.is_zero:
         fits = not c.premises and not c.generated
     elif isinstance(x.index, Fin):
         fits = not c.generated and len(c.premises) == x.index.size
     else:
-        fits = c.generated
+        fits = c.generated and not c.premises
     return None if fits else "one premise per subordinal"
 
 
@@ -204,13 +186,13 @@ class Rule(NamedTuple):
 
     kinds lists the kinds of a fixed premise tuple (None in a slot: any
     kind), or is None when check decides the premise count itself.  concl
-    is the kind the rule concludes (None: any).  check(c, ps) gets ps, the
+    is the kind the rule concludes.  check(c, ps) gets ps, the
     conclusions of a fixed premise tuple; premise(c, i, p) checks premise i
     before the walk descends into it.  Both return a failure reason, or
     None."""
 
     kinds: Optional[Tuple[Optional[str], ...]]
-    concl: Optional[str]
+    concl: str
     check: Callable[[Certificate, tuple], Optional[str]]
     premise: Optional[Callable[[Certificate, int, Certificate],
                                Optional[str]]] = None
@@ -250,7 +232,7 @@ def check_derivation(cert: Certificate, policy: Exhaustive | SpotCheck,
         rule = rules.get(c.rule)
         if rule is None:
             return f"unknown rule {c.rule!r}"
-        if rule.concl is not None and c.kind != rule.concl:
+        if c.kind != rule.concl:
             return f"{c.rule} concludes {rule.concl}"
         if rule.kinds is None:
             return guarded(rule.check, c, ())
@@ -341,20 +323,12 @@ def _check_lt_intro(c: Certificate, ps: tuple) -> Optional[str]:
                    "inner premise does not bound by the selection")
 
 
-def _check_weaken(c: Certificate, ps: tuple) -> Optional[str]:
-    cp, concl = ps[0], c.conclusion
-    return _unless(cp.kind == concl.kind and cp.lhs.ident == concl.lhs.ident
-                   and _ids(concl.rhs) == _ids(cp.rhs) | _ids(c.payload),
-                   "weaken changes only the bound set")
-
-
-# The trusted rules: the two defining clauses of <= and <, and weakening.
+# The trusted rules: the two defining clauses of <= and <.
 _RULES = {
     "le_intro": Rule(None, "le",
                      lambda c, ps: subordinal_arity(c.conclusion.lhs, c),
                      _check_le_premise),
     "lt_intro": Rule(("le",), "lt", _check_lt_intro),
-    "weaken": Rule((None,), None, _check_weaken),
 }
 
 

@@ -22,7 +22,7 @@ an expression to the ordinal name it denotes.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from . import arith
 from .names import OrdName, ZERO, omega, suc_list, sup_finite, und
@@ -210,81 +210,50 @@ def _ack_value(a: int, b: int, g: int) -> int:
     return acc
 
 
-def _numeral(e: Expr) -> Optional[int]:
-    """Machine value of a numeral expression, None once w or eps0 occurs.
-
-    Arithmetic rebuilds a numeral operand's whole spine eagerly, so a
-    numeral reaching an operator position must stay below NUMERAL_LIMIT;
-    anything deeper would overflow the stack during construction.  Bare
-    numerals and suc/sup arguments build iteratively and pass unchecked.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return None
-    if isinstance(e, Call):
-        vals = [_numeral(a) for a in e.args]
-        if e.fn == "suc":
-            known = [v for v in vals if v is not None]
-            if len(known) < len(vals):
-                return None
-            return max(known) + 1
-        if e.fn == "sup":
-            known = [v for v in vals if v is not None]
-            if len(known) < len(vals):
-                return None
-            return max(known)
-        for v in vals:
-            if v is not None:
-                _chk(v)
-        if any(v is None for v in vals):
-            return None
-        return _ack_value(vals[0], vals[1], vals[2])
-    l, r = _numeral(e.lhs), _numeral(e.rhs)
-    for v in (l, r):
-        if v is not None:
-            _chk(v)
-    if l is None or r is None:
-        return None
-    if e.op == "+":
-        return _chk(l + r)
-    if e.op == "*":
-        return _chk(l * r)
-    if l <= 1:
-        return 1 if r == 0 else l
-    # exponent clamp keeps the probe itself cheap; past the limit the
-    # exact value no longer matters
-    return _chk(l ** min(r, 10))
+def _sizes(names) -> list:
+    """Each name's size, its height when finitary (a finitary name's
+    ordinal is its height), else None; a size past NUMERAL_LIMIT raises."""
+    return [None if n.height is None else _chk(n.height) for n in names]
 
 
 def lower(e: Expr) -> OrdName:
     """The ordinal name an expression denotes.
 
-    Numeral subterms feeding an arithmetic operator are bounded by
-    NUMERAL_LIMIT; ValueError past that, since the name would be deeper
-    than any stack the construction could recurse on.
+    Arithmetic rebuilds a numeral operand's whole spine eagerly, so the
+    operands of an operator are built first and each finitary one's size
+    must stay below NUMERAL_LIMIT, as must the size of the result when all
+    are finitary; ValueError past that, since the name would be deeper than
+    any stack the construction could recurse on.  Bare numerals and
+    suc/sup arguments build iteratively and pass unchecked.
     """
-    _numeral(e)
-    return _lower(e)
-
-
-def _lower(e: Expr) -> OrdName:
     if isinstance(e, Num):
         return und(e.value)
     if isinstance(e, Const):
         return omega() if e.name == "w" else arith.eps0()
     if isinstance(e, Call):
-        args = [_lower(a) for a in e.args]
+        args = [lower(a) for a in e.args]
         if e.fn == "suc":
             return suc_list(args)
         if e.fn == "sup":
             return sup_finite(args)
+        sizes = _sizes(args)
+        if None not in sizes:
+            _ack_value(*sizes)
         return arith.acko(args[0], args[1], args[2])
-    a, b = _lower(e.lhs), _lower(e.rhs)
+    a, b = lower(e.lhs), lower(e.rhs)
+    l, r = _sizes((a, b))
     if e.op == "+":
+        if l is not None and r is not None:
+            _chk(l + r)
         return arith.add(a, b)
     if e.op == "*":
+        if l is not None and r is not None:
+            _chk(l * r)
         return arith.mul(a, b)
+    if l is not None and r is not None and l > 1:
+        # the exponent clamp keeps the probe itself cheap; past the limit
+        # the exact size no longer matters
+        _chk(l ** min(r, 10))
     return arith.pow(a, b)
 
 

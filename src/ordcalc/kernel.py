@@ -2,9 +2,9 @@
 
 This module builds certificates and vouches for none: one is trusted only
 once ``checker.verify`` accepts it.  Besides the constructors of the
-checker's three rules (``le_intro``, ``lt_intro`` and ``weaken``) it holds
-the derived rules (transitivity, cut, drop, the successor and sup rules),
-untrusted functions that build derivations from those three.
+checker's two rules (``le_intro`` and ``lt_intro``) it holds the derived
+rules (weakening, transitivity, cut, drop, the successor and sup rules),
+untrusted functions that build derivations from those two.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
 certificate that is then checked like any other.  Their only guide is the
@@ -26,8 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from . import cnf, compare
 # SpotCheck and verify are only re-exported, for callers that read them here
 from .checker import (_RULES, Certificate, Judgment, KernelError, SpotCheck,
-                      _ids, _selected, subordinal_arity, subordinal_premises,
-                      verify)
+                      _ids, _selected, subordinal_arity, verify)
 from .names import (Family, Fin, OrdName, ZERO, _mask_bits,
                     filtering, fin, suc, sup_decomposition, sup_finite,
                     sup_order)
@@ -54,9 +53,14 @@ def _rhs(bs) -> Tuple[OrdName, ...]:
 
 def le_intro(a: OrdName, bs, premises: Optional[Sequence[Certificate]] = None,
              gen: Optional[Callable[[int], Certificate]] = None) -> Certificate:
-    """a <= bs from one strict bound per subordinal of a."""
-    return Certificate("le_intro", Judgment("le", a, _rhs(bs)),
-                       **subordinal_premises(a, premises, gen))
+    """a <= bs from one strict bound per subordinal of a: no premises for
+    zero, a tuple below a finitely branching a, a generator otherwise."""
+    c = Certificate("le_intro", Judgment("le", a, _rhs(bs)),
+                    () if premises is None else tuple(premises), gen)
+    reason = subordinal_arity(a, c)
+    if reason is not None:
+        raise KernelError(reason)
+    return c
 
 
 def lt_intro_sel(a: OrdName, bs, selections: Sequence[Sequence[int]],
@@ -128,21 +132,13 @@ def refl(a: OrdName) -> Certificate:
     return hit
 
 
-def weaken(p: Certificate, extra) -> Certificate:
-    """Enlarge the bound set; the judgment only gets easier."""
-    extra = _rhs(extra)
-    c = p.conclusion
-    return Certificate("weaken", Judgment(c.kind, c.lhs, c.rhs + extra),
-                       (p,), payload=extra)
-
-
 # ---------------------------------------------------------------------------
 # derived rules
 #
-# Untrusted: everything below builds derivations from le_intro, lt_intro and
-# weaken alone.  Bounds are matched by ident, not position, since a premise's
-# bound set need only be set-equal to its parent's.  Premises below a
-# naturally indexed name are built lazily; recursions descend the lhs.
+# Untrusted: everything below builds derivations from le_intro and lt_intro
+# alone.  Bounds are matched by ident, not position, since a premise's bound
+# set need only be set-equal to its parent's.  Premises below a naturally
+# indexed name are built lazily; recursions descend the lhs.
 
 
 def _expect(cert: Certificate, kind: str, role: str) -> Judgment:
@@ -153,39 +149,51 @@ def _expect(cert: Certificate, kind: str, role: str) -> Judgment:
     return cert.conclusion
 
 
-def _unweaken(p: Certificate, kind: str) -> Certificate:
-    """p's claim against part of p's bounds, by kind's defining rule."""
+def _intro(p: Certificate, kind: str) -> Certificate:
+    """p, which must conclude kind by kind's defining rule."""
     _expect(p, kind, "premise")
-    while p.rule == "weaken":
-        p = p.premises[0] if len(p.premises) == 1 else None
-        _expect(p, kind, "weakened premise")
     if p.rule != kind + "_intro":
         raise KernelError(f"not a {kind}_intro derivation")
     return p
 
 
 def _le_premise(p: Certificate, i: int) -> Certificate:
-    """From p: x <= B, x.child(i) < (part of B)."""
-    q = _unweaken(p, "le")
-    r = q.premise_at(i) if not subordinal_arity(q.conclusion.lhs, q) else None
-    if type(r) is not Certificate or _RULES["le_intro"].premise(q, i, r):
+    """From p: x <= B, x.child(i) < B."""
+    _intro(p, "le")
+    r = p.premise_at(i) if not subordinal_arity(p.conclusion.lhs, p) else None
+    if type(r) is not Certificate or _RULES["le_intro"].premise(p, i, r):
         raise KernelError(f"premise {i} of the le_intro does not fit it")
     return r
 
 
 def _lt_parts(p: Certificate) -> Tuple[list, Certificate]:
     """From p: x < B, the selected (bound, index) pairs and x <= them."""
-    q = _unweaken(p, "lt")
-    inner = q.premises[0] if len(q.premises) == 1 else None
+    _intro(p, "lt")
+    inner = p.premises[0] if len(p.premises) == 1 else None
     _expect(inner, "le", "inner premise")
     try:
-        reason = _RULES["lt_intro"].check(q, (inner.conclusion,))
+        reason = _RULES["lt_intro"].check(p, (inner.conclusion,))
     except (TypeError, ValueError) as e:
         reason = f"malformed payload: {e!r}"
     if reason:
         raise KernelError(reason)
-    pairs = [(b, i) for b, s in zip(q.conclusion.rhs, q.payload) for i in s]
+    pairs = [(b, i) for b, s in zip(p.conclusion.rhs, p.payload) for i in s]
     return pairs, inner
+
+
+def weaken(p: Certificate, extra) -> Certificate:
+    """Enlarge the bound set; the judgment only gets easier.  Admissible,
+    not a rule: an lt_intro selects nothing from the extra bounds, and an
+    le_intro weakens each of its premises, lazily below a naturally indexed
+    lhs."""
+    extra = _rhs(extra)
+    if type(p) is Certificate and p.rule == "lt_intro":
+        pairs, inner = _lt_parts(p)
+        return _lt_node(p.conclusion.lhs, p.conclusion.rhs + extra, pairs,
+                        lambda S: inner)
+    c = _intro(p, "le").conclusion
+    return _le_node(c.lhs, c.rhs + extra,
+                    lambda i: weaken(_le_premise(p, i), extra))
 
 
 def _widen(p: Certificate, T: Tuple[OrdName, ...]) -> Certificate:

@@ -34,8 +34,7 @@ from typing import (Callable, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from .checker import (Certificate, Exhaustive, KernelError, Rule,
-                      VerifyReport, check_derivation, subordinal_arity,
-                      subordinal_premises)
+                      VerifyReport, check_derivation, subordinal_arity)
 from .names import BitSeq, OrdName, ZERO, eps_lpo, structural_depth, und
 
 
@@ -241,8 +240,13 @@ def ml_r2(conclusion: Iterable[Atom], principal: Atom,
     conclusion = sequent(conclusion)
     if principal.rel != "le" or principal not in conclusion:
         raise KernelError("principal must be a non-strict atom of the conclusion")
-    return MlCertificate("r2", conclusion, principal,
-                         **subordinal_premises(principal.lhs, premises, gen))
+    c = MlCertificate("r2", conclusion, principal,
+                      premises=() if premises is None else tuple(premises),
+                      gen=gen)
+    reason = subordinal_arity(principal.lhs, c)
+    if reason is not None:
+        raise KernelError(reason)
+    return c
 
 
 def _check_r1(c: MlCertificate, ps: tuple) -> Optional[str]:

@@ -4,13 +4,14 @@
 
 Negates, one at a time, each comparison and each other boolean test (of an
 ``if``, ``while``, conditional expression or ``and``/``or`` operand) in the
-functions of src/ordcalc/checker.py and in the sequent calculus's rule
-checks (mlseq's ``_check_r1``, ``_check_r2`` and ``_check_r2_premise``),
-and runs TESTS against each mutant in a fresh copy of the package.  A
-mutant that passes every test has survived: nothing pins that check.
-Prints each survivor with its file and line, and exits 1 when there is one
-or when the tests fail on the unmutated package.  pytest does not collect
-this script: a run takes about a minute.
+functions of src/ordcalc/checker.py, in the sequent calculus's rule checks
+(mlseq's ``_check_r1``, ``_check_r2`` and ``_check_r2_premise``) and in the
+functions of names that verify runs (the trusted base that
+tests/test_trusted_base.py pins), and runs TESTS against each mutant in a
+fresh copy of the package.  A mutant that passes every test has survived:
+nothing pins that check.  Prints each survivor with its file and line, and
+exits 1 when there is one or when the tests fail on the unmutated package.
+pytest does not collect this script: a run takes about a minute.
 """
 
 import ast
@@ -21,26 +22,52 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# the modules of src/ordcalc to mutate, each with the functions whose tests
-# are negated (None: every function)
+# the modules of src/ordcalc to mutate, each with the qualified names
+# (Class.method for a method) of the functions whose tests are negated
+# (None: every function)
 TARGETS = {"checker.py": None,
-           "mlseq.py": ("_check_r1", "_check_r2", "_check_r2_premise")}
+           "mlseq.py": ("_check_r1", "_check_r2", "_check_r2_premise"),
+           "names.py": ("Node.child", "Family.at", "Fin.__contains__",
+                        "_NatIndex.__contains__", "OrdName.is_zero",
+                        "OrdName.__hash__")}
 # the tests of the checker's walker and rules, of the calculi built on
-# them, and of its value types (Judgment, the policies, VerifyReport)
+# them, of its value types (Judgment, the policies, VerifyReport) and of
+# the names it reads
 TESTS = ["tests/test_verify_core.py", "tests/test_kernel.py",
          "tests/test_derived_rules.py", "tests/test_mlseq.py",
-         "tests/test_value_types.py"]
+         "tests/test_value_types.py", "tests/test_trusted_base.py",
+         "tests/test_names.py"]
+
+
+def functions(tree: ast.Module) -> list:
+    """(qualified name, node) for each function and lambda, named as
+    Python's __qualname__ names them: Class.method, outer.<locals>.inner,
+    <lambda>."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                found.append((name, child))
+                visit(child, f"{name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
 
 
 def sites(tree: ast.Module, only=None) -> list:
     """The nodes to negate, in source order: every comparison, and every
     other test of a branch or operand of a boolean operator, inside a
-    function, or only inside the functions named in only."""
+    function, or only inside the functions whose qualified names are in
+    only."""
     found = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
-            continue
-        if only is not None and getattr(fn, "name", None) not in only:
+    for name, fn in functions(tree):
+        if only is not None and name not in only:
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Compare):

@@ -1,5 +1,5 @@
-"""The derived comparison rules: each builds a derivation from le_intro,
-lt_intro and weaken alone, so verify checks what they return like any other
+"""The derived comparison rules: each builds a derivation from le_intro and
+lt_intro alone, so verify checks what they return like any other
 certificate."""
 
 import random
@@ -14,6 +14,7 @@ from ordcalc.kernel import (contract, cut_left, drop_left, le_cert, le_intro,
                             lt_suc_of_le, lt_to_le, refl, suc_le_of_lt,
                             sup_le_intro, sup_lt, trans_le_le, trans_le_lt,
                             trans_lt_le, weaken)
+from ordcalc.mlseq import ml_le_refl_cert
 from ordcalc.names import (Family, ZERO, omega, suc, suc_list, sup_family,
                            sup_finite, und)
 from ordcalc.oracle import gen_finitary, val
@@ -106,6 +107,50 @@ def test_derived_rules_on_finitary_names():
 w = omega()
 w1 = suc(w)
 w3 = sup_finite((w, und(3)))
+
+
+def _nodes(cert):
+    """Every node of a finite certificate, each shared one once."""
+    seen, todo = {}, [cert]
+    while todo:
+        c = todo.pop()
+        if id(c) not in seen:
+            seen[id(c)] = c
+            todo.extend(c.premises)
+    return seen.values()
+
+
+def test_weaken_is_admissible():
+    # the extra bounds repeat a bound, add the lhs itself and add w: an
+    # lt_intro selects nothing from them, an le_intro weakens its premises
+    rng = random.Random(31)
+    pool = _names()
+    seen = {"le": 0, "lt": 0}
+    for _ in range(80):
+        a, b = rng.choice(pool), rng.choice(pool)
+        for kind, holds, search in (("le", val(a) <= val(b), le_cert),
+                                    ("lt", val(a) < val(b), lt_cert)):
+            if not holds or seen[kind] >= 10:
+                continue
+            extra = (b, a, w)
+            cert = weaken(search(a, (b,)), extra)
+            assert cert.conclusion == Judgment(kind, a, (b,) + extra)
+            assert verify(cert, Exhaustive()).ok
+            assert {c.rule for c in _nodes(cert)} <= {"le_intro", "lt_intro"}
+            seen[kind] += 1
+    assert min(seen.values()) >= 5, seen
+    cert = weaken(refl(w), (w1,))
+    assert cert.conclusion == Judgment("le", w, (w, w1))
+    assert verify(cert, SpotCheck()).ok
+
+
+@pytest.mark.parametrize("p", [
+    "w", ml_le_refl_cert(und(1)),
+    Certificate("weaken", Judgment("le", und(1), (und(1),)))],
+    ids=["string", "sequent-certificate", "unknown-rule"])
+def test_weaken_refuses_a_non_certificate(p):
+    with pytest.raises(KernelError):
+        weaken(p, (und(2),))
 
 
 @pytest.mark.parametrize("c, a", [(und(3), w), (und(3), w1), (und(3), w3),
@@ -266,4 +311,4 @@ def test_forged_premise_beyond_the_samples_is_caught_downstream():
 
 
 def test_trusted_rules():
-    assert set(checker._RULES) == {"le_intro", "lt_intro", "weaken"}
+    assert set(checker._RULES) == {"le_intro", "lt_intro"}

@@ -6,12 +6,14 @@ import gc
 import pytest
 
 from ordcalc.arith import add, mul, pow
-from ordcalc.checker import Certificate, Exhaustive, SpotCheck, verify
+from ordcalc.checker import (Certificate, Exhaustive, Judgment, KernelError,
+                             SpotCheck, verify)
 from ordcalc.kernel import (contract, eq_certs, le_cert, le_intro, lt_cert,
                             refl, weaken)
-from ordcalc.mlseq import (Atom, ml_cert_exa123, ml_le_refl_cert, ml_r2,
-                           ml_verify)
-from ordcalc.names import BitSeq, omega, suc, suc_list, sup_finite, und
+from ordcalc.mlseq import (Atom, MlCertificate, ml_cert_exa123,
+                           ml_le_refl_cert, ml_r2, ml_verify)
+from ordcalc.names import (BitSeq, ZERO, omega, suc, suc_list, sup_finite,
+                           und)
 
 SPOT3 = SpotCheck(samples=(0, 1, 2))
 SPOT5 = SpotCheck(samples=(0, 1, 2, 5, 9))
@@ -113,8 +115,60 @@ class TestFailurePolicy:
             assert len(report.failures) == 3
 
 
-def _weaken_12():
-    return weaken(refl(und(1)), (und(2),))
+def _below_w(i):
+    return lt_cert(und(i), (omega(),))
+
+
+def _ml_below_w(i):
+    head = Atom(und(i), "lt", omega())
+    return MlCertificate("r1", frozenset({head}), head, choice=i + 1)
+
+
+# (lhs, premises, gen): each breaks the one-premise-per-subordinal shape
+_MISSHAPEN = [
+    (ZERO, [_below_w(0)], None),
+    (ZERO, None, _below_w),
+    (und(2), None, None),
+    (und(2), [_below_w(0), _below_w(1)], None),
+    (und(2), None, _below_w),
+    (omega(), [_below_w(0)], None),
+    (omega(), [_below_w(0)], _below_w),
+]
+_MISSHAPEN_IDS = ["zero-tuple", "zero-gen", "fin-none", "fin-count",
+                  "fin-gen", "nat-tuple", "nat-tuple-and-gen"]
+
+
+class TestPremiseShape:
+    """subordinal_arity alone states the premise shape: the constructors
+    refuse what verify refuses."""
+
+    @pytest.mark.parametrize("x, premises, gen", _MISSHAPEN,
+                             ids=_MISSHAPEN_IDS)
+    def test_le_intro_refuses(self, x, premises, gen):
+        with pytest.raises(KernelError, match="one premise per subordinal"):
+            le_intro(x, (omega(),), premises=premises, gen=gen)
+
+    @pytest.mark.parametrize("x, premises, gen", _MISSHAPEN,
+                             ids=_MISSHAPEN_IDS)
+    def test_r2_refuses(self, x, premises, gen):
+        head = Atom(x, "le", omega())
+        mine = None if premises is None else [_ml_below_w(0)] * len(premises)
+        with pytest.raises(KernelError, match="one premise per subordinal"):
+            ml_r2([head], head, premises=mine,
+                  gen=None if gen is None else _ml_below_w)
+
+    def test_forged_tuple_beside_a_generator_fails_at_root(self):
+        w = omega()
+        forged = Certificate("le_intro", Judgment("le", w, (w,)),
+                             premises=(_below_w(0),), gen=_below_w)
+        report = verify(forged, SpotCheck())
+        assert not report.ok
+        assert report.failures == [("root", "one premise per subordinal")]
+        head = Atom(w, "le", w)
+        forged = MlCertificate("r2", frozenset({head}), head,
+                               premises=(_ml_below_w(0),), gen=_ml_below_w)
+        report = ml_verify(forged, SpotCheck())
+        assert report.failures == [("root", "one premise per subordinal")]
 
 
 def _lt_13():
@@ -125,10 +179,9 @@ def _lt_13():
 # rules; both cases are now an lt_intro whose selections cannot be read.
 @pytest.mark.parametrize("policy", [Exhaustive(), SPOT3], ids=["exh", "spot"])
 @pytest.mark.parametrize("build, payload", [
-    (_weaken_12, ((0,),)),
     (_lt_13, (5,)),
     (_lt_13, None),
-], ids=["weaken", "sup-le-intro", "cut-left-length"])
+], ids=["sup-le-intro", "cut-left-length"])
 def test_malformed_payload_is_reported(build, payload, policy):
     cert = build()
     assert verify(cert, policy).ok
