@@ -11,9 +11,10 @@ operation and its operands' identities, so equal calls return the identical
 name; in particular add(a, zero) is a itself, which keeps identities like
 a < a + a cheaply recognizable.  Nor is a tree already built rebuilt:
 add(zero, b) is b itself, and a sup of one naturally indexed member with no
-finite arity is that member (names._sup_of_members).  So w*1 is w, w*2 is
-w+w and w*3 is w*2+w.  Only identical trees are shared: 1+w and w, or w^2
-and w*w, denote one ordinal through different trees and stay two names.
+finite arity is that member (names._sup_of_members), and 1*b is b (mul).
+So w*1 is w, w*2 is w+w, w*3 is w*2+w, w^1 is w and w^2 is w*w.  Only
+identical trees are shared: 1+w and w, or sup(w,3) and w, denote one
+ordinal through different trees and stay two names.
 
 Sums, products and powers of operands with a Cantor normal form record the
 result's, the hint certificate search steers by.
@@ -125,9 +126,23 @@ def mul(a: OrdName, b: OrdName) -> OrdName:
 
     With either factor zero the family above has no nonzero members, so the
     product is zero.
+
+    1 * b is b itself.  By induction on b, 1*b_j is b_j, and b_j + 1 is
+    add's node over the one member b_j + 0 = b_j, so 1*b is the flattened
+    sup of the members b_j + 1, each of arity 1 with b_j as its only
+    subordinal.  For a finite b, _flat concatenates them into the tuple of
+    the b_j in b's order, which _intern maps to b's node.  For a natural b,
+    sup_order walks the pairs diagonally: on diagonal d a pair (j, d - j)
+    is valid only when d - j < 1, so the diagonal yields (d, 0) alone, and
+    position k of the sup is subordinal 0 of member k, that is b_k.  The
+    sup lists b's members in b's order; b itself also keeps its constant
+    point, if it has one, which the diagonal node would drop.  So returning
+    b builds no copy of it, and a^1 is a: w^1 is w and w^2 is w*w.
     """
     if b.is_zero or a.is_zero:
         return ZERO
+    if a is und(1):
+        return b
     key = ("mul", a.ident, b.ident)
     hit = _memo.get(key)
     if hit is None:

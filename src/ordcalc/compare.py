@@ -8,10 +8,13 @@ members of bs and not all empty, bounds a from above.
 
 Verdicts are strong-Kleene truth values.  True and False are final: True
 comes only from fully exhausted index sets or an explicit witness, False only
-from a counterexample or an exhausted witness space.  Every budget truncation
-yields Unknown, tagged with what ran out; once the step budget is spent, that
-reason is reported over any width or depth truncation met on the way.
-Definite verdicts are monotone in the fuel.  Both relations, at the top
+from a counterexample, an exhausted witness space, or irreflexivity: a < bs
+is false when the bound set is exactly {a}, by the paper's law that no
+ordinal is below itself.  Like a <= bs when a is one of the bounds, that
+answer costs no eval and no fuel.  Every budget truncation yields Unknown,
+tagged with what ran out; once the step budget is spent, that reason is
+reported over any width or depth truncation met on the way.  Definite
+verdicts are monotone in the fuel.  Both relations, at the top
 and at every level of the recursion, go through one entry, which keeps the
 engine's one caching policy: it answers from heights (below) or from the
 one record the engine keeps per bound set, else charges a step and a depth
@@ -426,9 +429,15 @@ def _ask(strict: bool, a: OrdName, bs: tuple, rhs_key: frozenset,
          width: int, depth: int, budget: list) -> TriBool:
     """a < bs when strict, else a <= bs: the one entry of both relations,
     at the top and in every scan.  A verdict held in the bound set's record
-    costs nothing.  A height read and a scan each need a depth level left
-    and cost one step, and only a scan's definite verdict is stored."""
-    if not strict and (a.is_zero or a.ident in rhs_key):
+    costs nothing, as does an identity answer: a <= bs when a is zero or a
+    bound, and not a < bs when a is the only bound.  A height read and a
+    scan each need a depth level left and cost one step, and only a scan's
+    definite verdict is stored."""
+    if strict:
+        if len(rhs_key) == 1 and a.ident in rhs_key:
+            # irreflexivity: a is not below itself
+            return FALSE
+    elif a.is_zero or a.ident in rhs_key:
         return TRUE
     rec = _sel_cache.get(rhs_key)
     quick = None if a.height is None else _by_height(a, bs, rec, strict)

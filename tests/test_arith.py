@@ -7,9 +7,11 @@ from ordcalc import arith, compare, kernel, oracle
 from ordcalc.arith import END, LinearIndexOrder, acko, add, eps0, mul, pow, seq_sum
 from ordcalc.compare import Ordering, cmp_finitary
 from ordcalc.expr import lower, parse_expr
-from ordcalc.names import Family, Fin, NAT, ZERO, omega, sup_finite, und
+from ordcalc.names import (BitSeq, Family, Fin, NAT, ZERO, eps_lpo,
+                           map_family, omega, subordinals, sup_finite, und)
 
 from .conftest import finitary_names, seeded_pairs
+from .verdict_diff import EXPRESSIONS
 
 
 def _le(a, b) -> bool:
@@ -88,25 +90,60 @@ class TestAdd:
 
 class TestSharedTrees:
     """Arithmetic that rebuilds a tree it already has returns the name it
-    has: 0 + b is b, and a sup of one naturally indexed member of no finite
-    arity is that member.  Names that denote one ordinal through different
-    trees stay distinct."""
+    has: 0 + b is b, 1 * b is b, and a sup of one naturally indexed member
+    of no finite arity is that member.  Names that denote one ordinal
+    through different trees stay distinct."""
 
     @staticmethod
     def _name(text):
         return lower(parse_expr(text))
 
+    @staticmethod
+    def _product_step(b):
+        """One level of mul's recursion for 1*b, on the hypothesis of its
+        proof's induction that 1*b_j is b_j."""
+        one = und(1)
+        return arith._sup_of(map_family(
+            subordinals(b), lambda bj: add(mul(one, bj), one)))
+
     @pytest.mark.parametrize("lhs, rhs", [
         ("w*2", "w+w"), ("w*3", "w*2+w"), ("w*1", "w"),
-        ("w^2*2", "w^2+w^2")])
+        ("w^2*2", "w^2+w^2"), ("w^1", "w"), ("1*w", "w"), ("w^2", "w*w")])
     def test_one_tree_is_one_name(self, lhs, rhs):
         assert self._name(lhs) is self._name(rhs)
 
     def test_zero_plus_omega_is_omega(self):
         assert add(ZERO, omega()) is omega()
 
+    def test_power_one_is_the_base_and_power_two_the_square(self):
+        w = omega()
+        assert pow(w, und(1)) is w
+        assert pow(w, und(2)) is mul(w, w)
+
+    @pytest.mark.parametrize("text", EXPRESSIONS + ["w^2+w"])
+    def test_one_step_of_the_product_by_one_lists_b(self, text):
+        # the induction step of mul's proof that 1*b is b lists b's own
+        # members in b's order, so a finite b is its own interned node
+        b = self._name(text)
+        step = self._product_step(b)
+        if b.index is NAT:
+            assert [step.child(i) for i in range(64)] == [
+                b.child(i) for i in range(64)]
+        else:
+            assert step is b
+
+    def test_one_step_over_an_eventually_constant_b(self):
+        # the diagonal sup lists b's members past its constant point too,
+        # though it does not record that point, which 1*b = b keeps
+        b, _ = eps_lpo(BitSeq.const_last([0, 0, 1]))
+        step = self._product_step(b)
+        assert [step.child(i) for i in range(64)] == [
+            b.child(i) for i in range(64)]
+        assert (step.arity, b.arity) == (None, 4)
+        assert mul(und(1), b) is b
+
     @pytest.mark.parametrize("lhs, rhs", [
-        ("1+w", "w"), ("w^2", "w*w"), ("sup(w,3)", "w")])
+        ("1+w", "w"), ("eps0", "w^2"), ("sup(w,3)", "w")])
     def test_one_ordinal_through_two_trees_stays_two_names(self, lhs, rhs):
         assert self._name(lhs) is not self._name(rhs)
 

@@ -256,7 +256,8 @@ class TestCliContract:
         assert "lt true\n" in out
 
     def test_unknown_without_kernel_exits_3(self):
-        code, out, _ = run_cli(["cmp", "w^2", "w*w"])
+        # eps0 denotes w^2 through another tree, and no line is settled
+        code, out, _ = run_cli(["cmp", "w^2", "eps0"])
         assert code == 3
         assert out.endswith("verdict unknown\n")
 
@@ -287,11 +288,12 @@ class TestCliContract:
         assert out.endswith("verdict eq\n")
 
     def test_a_true_strict_line_settles_its_weak_line_under_kernel(self):
-        # the engine says lt, and no le certificate is found, yet a < b
-        # gives a <= b; gt gives ge the same way.  Without --kernel the
-        # lines stay as the engine left them
-        for args, weak, strict in ((["w+300", "w+301"], "le", "lt"),
-                                   (["w+301", "w+300"], "ge", "gt")):
+        # the engine says lt by membership and leaves le unknown, since w
+        # has no finite arity and {w^2} no cover, yet a < b gives a <= b;
+        # gt gives ge the same way.  Without --kernel the lines stay as the
+        # engine left them
+        for args, weak, strict in ((["w", "w^2"], "le", "lt"),
+                                   (["w^2", "w"], "ge", "gt")):
             code, out, _ = run_cli(["cmp"] + args + ["--kernel"])
             assert code == 0
             assert f"{weak} true\n" in out and f"{strict} true\n" in out
