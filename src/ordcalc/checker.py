@@ -2,13 +2,17 @@
 
 A certificate is a tree (shared subtrees allowed) whose nodes each apply one
 inference rule to premise certificates and claim a conclusion, a
-``Judgment``.  The checker trusts two rules, ``le_intro`` and ``lt_intro``,
-the defining clauses of <= and <; weakening and the other structural rules
-are derived (``kernel``).  ``verify`` walks a certificate and independently
-rederives every visited conclusion from the rule and premises, so nothing
-is trusted at construction time.  Premises below a naturally indexed family
-are held as a generator, so certificates about infinitely branching names
-are finite objects; verifying those requires a spot-check policy, since an
+``Judgment``.  The checker trusts four rules: ``le_intro`` and ``lt_intro``,
+the defining clauses of <= and <, and two premise-free leaves that each
+check one line by ident, ``refl`` (a <= bs when a is a bound) and
+``member`` (a <= bs when a is a member of a bound).  Both leaves are
+admissible: ``le_intro`` and ``lt_intro`` derive them member by member.
+Weakening and the other structural rules are derived (``kernel``).
+``verify`` walks a certificate and independently rederives every visited
+conclusion from the rule and premises, so nothing is trusted at
+construction time.  Premises below a naturally indexed family are held as
+a generator, so certificates about infinitely branching names are finite
+objects; verifying those requires a spot-check policy, since an
 exhaustive walk is only meaningful when every branching is finite.  Each
 rule is one entry of a rule table read by a single walker,
 ``check_derivation``; the sequent calculus (``mlseq``) runs the same walker
@@ -323,12 +327,36 @@ def _check_lt_intro(c: Certificate, ps: tuple) -> Optional[str]:
                    "inner premise does not bound by the selection")
 
 
-# The trusted rules: the two defining clauses of <= and <.
+def _check_refl(c: Certificate, ps: tuple) -> Optional[str]:
+    """a <= bs, payload (j,): bound j is a."""
+    concl, (j,) = c.conclusion, c.payload
+    if j not in range(len(concl.rhs)):
+        return "bound index invalid"
+    return _unless(concl.rhs[j].ident == concl.lhs.ident,
+                   "the bound is not the lhs")
+
+
+def _check_member(c: Certificate, ps: tuple) -> Optional[str]:
+    """a <= bs, payload (j, i): member i of bound j is a."""
+    concl, (j, i) = c.conclusion, c.payload
+    if j not in range(len(concl.rhs)):
+        return "bound index invalid"
+    b = concl.rhs[j]
+    if b.is_zero or i not in b.index:
+        return "member index invalid"
+    return _unless(b.child(i).ident == concl.lhs.ident,
+                   "the member is not the lhs")
+
+
+# The trusted rules: the two defining clauses of <= and <, and the two
+# leaves, each one line read by ident.
 _RULES = {
     "le_intro": Rule(None, "le",
                      lambda c, ps: subordinal_arity(c.conclusion.lhs, c),
                      _check_le_premise),
     "lt_intro": Rule(("le",), "lt", _check_lt_intro),
+    "refl": Rule((), "le", _check_refl),
+    "member": Rule((), "le", _check_member),
 }
 
 
@@ -354,8 +382,9 @@ def incompatible(p: Certificate, q: Certificate) -> bool:
 
 def serialize(cert: Certificate) -> str:
     """Line-oriented text for finite certificates: one numbered node per
-    line, premises before conclusions.  Generator-backed certificates have
-    no finite listing and are rejected."""
+    line, premises before conclusions; an lt_intro lists its selections
+    after ``sel``, a leaf its payload after ``at``.  Generator-backed
+    certificates have no finite listing and are rejected."""
     order: List[Certificate] = []
     number: dict = {}
 
@@ -380,6 +409,8 @@ def serialize(cert: Certificate) -> str:
         if c.rule == "lt_intro":
             extra = " sel " + "|".join(
                 ",".join(str(i) for i in s) for s in c.payload)
+        elif c.payload:
+            extra = " at " + ",".join(str(i) for i in c.payload)
         body = f"{format_name(j.lhs)} {op} {rhs}{extra}"
         lines.append(f"{n}: {c.rule}({body})" + "{" +
                      ",".join(str(r) for r in refs) + "}")

@@ -192,8 +192,7 @@ def clear_memo() -> None:
     and zero the eval and hit counts.  The other process-global tables stay:
     names' ``_intern``, ``_sups`` and ``_und_cache`` and arith's ``_memo``
     carry name identity, so dropping them would make a rebuilt name a
-    stranger to the one a caller holds, and kernel's ``_refl_cache`` holds
-    certificates, which store no verdict."""
+    stranger to the one a caller holds."""
     _sel_cache.clear()
     _stats["evals"] = 0
     _stats["hits"] = 0

@@ -2,9 +2,11 @@
 
 This module builds certificates and vouches for none: one is trusted only
 once ``checker.verify`` accepts it.  Besides the constructors of the
-checker's two rules (``le_intro`` and ``lt_intro``) it holds the derived
-rules (weakening, transitivity, cut, drop, the successor and sup rules),
-untrusted functions that build derivations from those two.
+checker's four rules (``le_intro``, ``lt_intro`` and the leaves ``refl``
+and ``member``) it holds the derived rules (weakening, transitivity, cut,
+drop, the successor and sup rules), untrusted functions that build
+derivations from those four.  A derived rule that needs the premises of a
+leaf unfolds it one level into the ``le_intro`` it abbreviates.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
 certificate that is then checked like any other.  Their only guide is the
@@ -120,24 +122,64 @@ def zero_lt(bs) -> Certificate:
     raise KernelError("no bound has a subordinal: nothing is below all zeros")
 
 
-_refl_cache: dict = {}
+_LEAVES = ("refl", "member")
+
+
+def _leaf(rule: str, a: OrdName, bs: tuple, payload: tuple) -> Certificate:
+    """The leaf a <= bs of rule refl (payload (j,): bound j is a) or member
+    (payload (j, i): member i of bound j is a), unchecked: every caller
+    either builds it from what the payload names or checks it (_check)."""
+    return Certificate(rule, Judgment("le", a, bs), payload=payload)
+
+
+def _check(p: Certificate, ps: tuple = ()) -> Certificate:
+    """p, unless its rule check fails on ps, its premises' conclusions."""
+    try:
+        reason = _RULES[p.rule].check(p, ps)
+    except (TypeError, ValueError) as e:
+        reason = f"malformed payload: {e!r}"
+    if reason:
+        raise KernelError(reason)
+    return p
 
 
 def refl(a: OrdName) -> Certificate:
-    """a <= [a], built by mutual recursion with a < [a] at each subordinal."""
-    hit = _refl_cache.get(a.ident)
-    if hit is None:
-        hit = _refl_cache[a.ident] = _le_node(a, (a,), lambda i: lt_intro_sel(
-            a.child(i), (a,), ((i,),), refl(a.child(i))))
-    return hit
+    """a <= [a], one leaf."""
+    return _leaf("refl", a, (a,), (0,))
+
+
+def _member_le(b: OrdName, i: int) -> Certificate:
+    """b.child(i) <= [b], one leaf."""
+    return _leaf("member", b.child(i), (b,), (0, i))
+
+
+def _unfold(p: Certificate) -> Certificate:
+    """The leaf p: a <= bs as the le_intro it abbreviates, one level deep.
+    Member k of a is below bs by selecting, from bound j, member k of a
+    when bound j is a (over a.child(k) <= [a.child(k)]), or member i when
+    a is member i of bound j (over a.child(k) <= [a])."""
+    c = _check(p).conclusion
+    a, bs = c.lhs, c.rhs
+    j = p.payload[0]
+
+    def prem(k: int) -> Certificate:
+        y = a.child(k)
+        if p.rule == "refl":
+            i, inner = k, refl(y)
+        else:
+            i, inner = p.payload[1], _member_le(a, k)
+        sels = tuple((i,) if n == j else () for n in range(len(bs)))
+        return lt_intro_sel(y, bs, sels, inner)
+
+    return _le_node(a, bs, prem)
 
 
 # ---------------------------------------------------------------------------
 # derived rules
 #
-# Untrusted: everything below builds derivations from le_intro and lt_intro
-# alone.  Bounds are matched by ident, not position, since a premise's bound
-# set need only be set-equal to its parent's.  Premises below a naturally
+# Untrusted: everything below builds derivations from the four rules.
+# Bounds are matched by ident, not position, since a premise's bound set
+# need only be set-equal to its parent's.  Premises below a naturally
 # indexed name are built lazily; recursions descend the lhs.
 
 
@@ -150,8 +192,11 @@ def _expect(cert: Certificate, kind: str, role: str) -> Judgment:
 
 
 def _intro(p: Certificate, kind: str) -> Certificate:
-    """p, which must conclude kind by kind's defining rule."""
+    """p, which must conclude kind by kind's defining rule; a leaf is
+    unfolded into the le_intro it abbreviates."""
     _expect(p, kind, "premise")
+    if kind == "le" and p.rule in _LEAVES:
+        return _unfold(p)
     if p.rule != kind + "_intro":
         raise KernelError(f"not a {kind}_intro derivation")
     return p
@@ -159,7 +204,7 @@ def _intro(p: Certificate, kind: str) -> Certificate:
 
 def _le_premise(p: Certificate, i: int) -> Certificate:
     """From p: x <= B, x.child(i) < B."""
-    _intro(p, "le")
+    p = _intro(p, "le")
     r = p.premise_at(i) if not subordinal_arity(p.conclusion.lhs, p) else None
     if type(r) is not Certificate or _RULES["le_intro"].premise(p, i, r):
         raise KernelError(f"premise {i} of the le_intro does not fit it")
@@ -171,27 +216,25 @@ def _lt_parts(p: Certificate) -> Tuple[list, Certificate]:
     _intro(p, "lt")
     inner = p.premises[0] if len(p.premises) == 1 else None
     _expect(inner, "le", "inner premise")
-    try:
-        reason = _RULES["lt_intro"].check(p, (inner.conclusion,))
-    except (TypeError, ValueError) as e:
-        reason = f"malformed payload: {e!r}"
-    if reason:
-        raise KernelError(reason)
+    _check(p, (inner.conclusion,))
     pairs = [(b, i) for b, s in zip(p.conclusion.rhs, p.payload) for i in s]
     return pairs, inner
 
 
 def weaken(p: Certificate, extra) -> Certificate:
     """Enlarge the bound set; the judgment only gets easier.  Admissible,
-    not a rule: an lt_intro selects nothing from the extra bounds, and an
-    le_intro weakens each of its premises, lazily below a naturally indexed
-    lhs."""
+    not a rule: an lt_intro selects nothing from the extra bounds, a leaf
+    keeps its payload, and an le_intro weakens each of its premises, lazily
+    below a naturally indexed lhs."""
     extra = _rhs(extra)
     if type(p) is Certificate and p.rule == "lt_intro":
         pairs, inner = _lt_parts(p)
         return _lt_node(p.conclusion.lhs, p.conclusion.rhs + extra, pairs,
                         lambda S: inner)
-    c = _intro(p, "le").conclusion
+    c = _expect(p, "le", "premise")
+    if p.rule in _LEAVES:
+        return _check(_leaf(p.rule, c.lhs, c.rhs + extra, p.payload))
+    _intro(p, "le")
     return _le_node(c.lhs, c.rhs + extra,
                     lambda i: weaken(_le_premise(p, i), extra))
 
@@ -240,13 +283,6 @@ def _chain(p: Certificate, up: dict, T) -> Certificate:
 def _refls(T) -> dict:
     """The middle of a chain that only regroups T: b <= [b]."""
     return {b.ident: refl(b) for b in T}
-
-
-def _member_le(b: OrdName, i: int) -> Certificate:
-    """b.child(i) <= [b]: its subordinals are below b by the selection {i}."""
-    y = b.child(i)
-    return _le_node(y, (b,), lambda k: lt_intro_sel(
-        y.child(k), (b,), ((i,),), _member_le(y, k)))
 
 
 def _sup_le(s: OrdName, members, T,
@@ -550,6 +586,16 @@ def _finite_part(a: OrdName) -> int:
     return form[-1][1] if form and not form[-1][0] else 0
 
 
+def _member_index(a: OrdName, b: OrdName, limit: int) -> Optional[int]:
+    """The index of a among b's first limit members, or None."""
+    if b.is_zero:
+        return None
+    for i in range(limit if b.arity is None else min(limit, b.arity)):
+        if compare.child(b, i).ident == a.ident:
+            return i
+    return None
+
+
 def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
              st: _SearchState) -> Certificate:
     _spend(budget, st)
@@ -557,10 +603,13 @@ def _le_body(a: OrdName, bs: tuple, limit: int, budget: int,
         raise CertSearchError(f"guidance refutes {a!r} <= {list(bs)!r}")
     if a.is_zero:
         return zero_le(bs)
-    if any(b.ident == a.ident for b in bs):
-        c = refl(a)
-        extra = tuple(b for b in bs if b.ident != a.ident)
-        return weaken(c, extra) if extra else c
+    for j, b in enumerate(bs):
+        if b.ident == a.ident:
+            return _leaf("refl", a, bs, (j,))
+    for j, b in enumerate(bs):
+        i = _member_index(a, b, limit)
+        if i is not None:
+            return _leaf("member", a, bs, (j, i))
 
     def prem(i: int) -> Certificate:
         # deep premises may need selections about as wide as their index
@@ -691,9 +740,7 @@ def filtering_eq_certs(alpha: OrdName) -> Tuple[Certificate, Certificate]:
         x = alpha.child(i)
         pos = 2 ** i - 1
         target = beta.child(pos)
-        inner = refl(x) if target.ident == x.ident else \
-            le_cert(x, (target,))
-        return lt_intro_sel(x, (beta,), ((pos,),), inner)
+        return lt_intro_sel(x, (beta,), ((pos,),), le_cert(x, (target,)))
 
     def back(n: int) -> Certificate:
         top = max(_mask_bits(n + 1))

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import strategies as st
 
+from ordcalc import kernel
 from ordcalc.names import ZERO, suc_list, sup_finite, und
 from ordcalc.oracle import gen_finitary
 
@@ -34,6 +35,35 @@ def failing_past_five(i: int):
     if i > 5:
         raise ValueError("no member past index 5")
     return und(i)
+
+
+def expand(cert):
+    """cert with every refl and member leaf written out, all the way down,
+    as the le_intro and lt_intro derivation it abbreviates (kernel's
+    one-level unfolding, applied again to every leaf it yields).  Equal
+    leaves expand to one shared derivation, as do shared nodes; premises
+    below a naturally indexed lhs expand lazily."""
+    done: dict = {}
+
+    def go(c):
+        j = c.conclusion
+        key = ((c.rule, j.lhs.ident, tuple(b.ident for b in j.rhs),
+                c.payload) if c.rule in kernel._LEAVES else id(c))
+        hit = done.get(key)
+        if hit is None:
+            if c.rule in kernel._LEAVES:
+                hit = go(kernel._unfold(c))
+            elif c.rule == "lt_intro":
+                hit = kernel.lt_intro_sel(j.lhs, j.rhs, c.payload,
+                                          go(c.premises[0]))
+            else:
+                hit = kernel._le_node(j.lhs, j.rhs,
+                                      lambda i: go(c.premise_at(i)))
+            done[key] = (hit, c)
+            return hit
+        return hit[0]
+
+    return go(cert)
 
 
 @pytest.fixture

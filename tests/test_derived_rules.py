@@ -1,6 +1,7 @@
-"""The derived comparison rules: each builds a derivation from le_intro and
-lt_intro alone, so verify checks what they return like any other
-certificate."""
+"""The derived comparison rules: each builds a derivation from the
+checker's four rules, so verify checks what they return like any other
+certificate.  The two leaves, refl and member, are admissible: written out,
+they are derivations in le_intro and lt_intro alone."""
 
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from ordcalc import checker
 from ordcalc.checker import (Certificate, Exhaustive, Judgment, KernelError,
                              SpotCheck, verify)
+from ordcalc.arith import add, mul, pow
 from ordcalc.kernel import (contract, cut_left, drop_left, le_cert, le_intro,
                             le_of_lt_suc, lt_cert, lt_intro_sel, lt_of_suc_le,
                             lt_suc_of_le, lt_to_le, refl, suc_le_of_lt,
@@ -18,6 +20,8 @@ from ordcalc.mlseq import ml_le_refl_cert
 from ordcalc.names import (Family, ZERO, omega, suc, suc_list, sup_family,
                            sup_finite, und)
 from ordcalc.oracle import gen_finitary, val
+
+from .conftest import expand
 
 SPOT = SpotCheck(samples=(0, 1, 2, 7))
 
@@ -136,12 +140,19 @@ def test_weaken_is_admissible():
             cert = weaken(search(a, (b,)), extra)
             assert cert.conclusion == Judgment(kind, a, (b,) + extra)
             assert verify(cert, Exhaustive()).ok
-            assert {c.rule for c in _nodes(cert)} <= {"le_intro", "lt_intro"}
+            assert {c.rule for c in _nodes(cert)} <= set(checker._RULES)
+            written = expand(cert)
+            assert verify(written, Exhaustive()).ok
+            assert {c.rule for c in _nodes(written)} <= {"le_intro",
+                                                         "lt_intro"}
             seen[kind] += 1
     assert min(seen.values()) >= 5, seen
+    # a leaf weakens into a leaf with its payload
     cert = weaken(refl(w), (w1,))
+    assert (cert.rule, cert.payload) == ("refl", (0,))
     assert cert.conclusion == Judgment("le", w, (w, w1))
-    assert verify(cert, SpotCheck()).ok
+    assert verify(cert, Exhaustive()).ok
+    assert verify(expand(cert), SpotCheck()).ok
 
 
 @pytest.mark.parametrize("p", [
@@ -311,4 +322,114 @@ def test_forged_premise_beyond_the_samples_is_caught_downstream():
 
 
 def test_trusted_rules():
-    assert set(checker._RULES) == {"le_intro", "lt_intro"}
+    assert set(checker._RULES) == {"le_intro", "lt_intro", "refl", "member"}
+
+
+def _leaf(rule, a, bs, payload):
+    return Certificate(rule, Judgment("le", a, tuple(bs)), payload=payload)
+
+
+def _finitary_leaves():
+    """Every refl and member leaf on the pool's names, each against its
+    bound alone and with the bound between two others."""
+    for b in _names():
+        yield _leaf("refl", b, (b,), (0,))
+        yield _leaf("refl", b, (und(1), b, w), (1,))
+        if not b.is_zero:
+            for i in range(b.index.size):
+                yield _leaf("member", b.child(i), (b,), (0, i))
+                yield _leaf("member", b.child(i), (und(1), b, w), (1, i))
+
+
+def test_leaves_expand_into_the_defining_rules_on_finitary_names():
+    count = 0
+    for leaf in _finitary_leaves():
+        assert verify(leaf, Exhaustive()) == verify(leaf, SpotCheck())
+        assert verify(leaf, Exhaustive()).visited == 1
+        written = expand(leaf)
+        assert written.conclusion == leaf.conclusion
+        assert {c.rule for c in _nodes(written)} <= {"le_intro", "lt_intro"}
+        assert verify(written, Exhaustive()).ok, leaf
+        count += 1
+    assert count >= 60
+
+
+_W2 = mul(w, und(2))
+_INFINITARY_LEAVES = [
+    _leaf("refl", w, (w,), (0,)),
+    _leaf("refl", _W2, (w1, _W2), (1,)),
+    _leaf("refl", pow(w, und(2)), (pow(w, und(2)),), (0,)),
+    _leaf("member", w, (w1,), (0, 0)),          # w <= [w+1]
+    _leaf("member", und(5), (w,), (0, 5)),      # 5 <= [w]
+    _leaf("member", add(w, und(3)), (und(2), _W2), (1, 3)),
+    _leaf("member", w3.child(4), (w3,), (0, 4)),
+]
+
+
+@pytest.mark.parametrize("leaf", _INFINITARY_LEAVES,
+                         ids=["w", "w*2-among-two", "w^2", "w-in-w+1",
+                              "5-in-w", "w+3-in-w*2", "sup-member"])
+def test_leaves_expand_into_the_defining_rules_on_infinitary_names(leaf):
+    assert verify(leaf, Exhaustive()) == verify(leaf, SpotCheck())
+    assert verify(leaf).visited == 1
+    written = expand(leaf)
+    assert written.conclusion == leaf.conclusion
+    assert verify(written, SpotCheck()).ok
+    assert verify(written, SpotCheck(samples=(0, 3, 9), depth=8)).ok
+
+
+def test_member_is_lt_intro_over_refl_then_lt_to_le():
+    # the leaf w <= [w+1] is what lt_to_le makes of w < [w+1] by {0}
+    strict = lt_intro_sel(w, (w1,), ((0,),), refl(w))
+    assert verify(strict).ok and verify(expand(strict), SpotCheck()).ok
+    weak = lt_to_le(strict)
+    assert weak.conclusion == Judgment("le", w, (w1,))
+    assert verify(weak, SpotCheck()).ok
+    assert verify(expand(weak), SpotCheck()).ok
+
+
+# (rule, lhs, bounds, payload, reason): each leaf claims what its payload
+# does not show, or is malformed
+_FORGED_LEAVES = [
+    ("refl", und(1), (und(1),), (1,), "bound index invalid"),
+    ("refl", und(1), (und(2), und(1)), (-1,), "bound index invalid"),
+    ("refl", und(2), (und(1), und(2)), (0,), "the bound is not the lhs"),
+    ("refl", w, (w1,), (0,), "the bound is not the lhs"),
+    ("member", w, (w1,), (1, 0), "bound index invalid"),
+    ("member", w, (w1,), (-1, 0), "bound index invalid"),
+    ("member", w, (w1,), (0, 1), "member index invalid"),
+    ("member", und(5), (w,), (0, -1), "member index invalid"),
+    ("member", ZERO, (ZERO,), (0, 0), "member index invalid"),
+    ("member", und(1), (und(3),), (0, 0), "the member is not the lhs"),
+    ("member", und(5), (w,), (0, 4), "the member is not the lhs"),
+    ("member", w1, (w1,), (0, 0), "the member is not the lhs"),
+    ("refl", und(1), (und(1),), (0, 0), "malformed payload"),
+    ("member", w, (w1,), (0,), "malformed payload"),
+]
+
+
+@pytest.mark.parametrize("rule, a, bs, payload, reason", _FORGED_LEAVES)
+def test_forged_leaf_fails_at_root(rule, a, bs, payload, reason):
+    report = verify(_leaf(rule, a, bs, payload))
+    assert not report.ok
+    assert [path for path, _ in report.failures] == ["root"]
+    assert reason in report.failures[0][1]
+    with pytest.raises(KernelError):
+        weaken(_leaf(rule, a, bs, payload), (w,))
+
+
+def test_leaf_shape_is_the_walkers():
+    one = und(1)
+    forged = [
+        Certificate("refl", Judgment("lt", one, (one,)), payload=(0,)),
+        Certificate("member", Judgment("lt", und(0), (one,)),
+                    payload=(0, 0)),
+        Certificate("refl", Judgment("le", one, (one,)),
+                    premises=(refl(one),), payload=(0,)),
+        Certificate("member", Judgment("le", und(0), (one,)),
+                    gen=lambda i: refl(one), payload=(0, 0)),
+    ]
+    reasons = ["refl concludes le", "member concludes le",
+               "refl takes 0 premises", "member takes 0 premises"]
+    for cert, reason in zip(forged, reasons):
+        assert verify(cert, SpotCheck()).failures == [("root", reason)]

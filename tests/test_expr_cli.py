@@ -308,16 +308,30 @@ class TestCliContract:
 
     def test_emit_cert_without_a_certificate_exits_3(self):
         # a definite verdict whose certificate the search cannot find, or
-        # cannot write out, prints the reason and no certificate at all
+        # cannot write out, prints the reason and no certificate at all: w
+        # is member 1 of suc(1+w, w), but the search selects member 0,
+        # which has w's form, and sweeps w's members below it
         for args, reason in (
                 (["cmp", "150", "200"], "search budget exhausted: depth"),
-                (["cmp", "w", "w+1"],
+                (["cmp", "w", "suc(1+w,w)"],
                  "cannot serialize a generator-backed certificate")):
             code, out, err = run_cli(args + ["--emit-cert"])
             assert code == 3
             assert out.endswith("verdict lt\n")
             assert "cert" not in out
             assert err == f"error: no certificate for lt: {reason}\n"
+
+    def test_emit_cert_writes_out_reflexivity_and_membership(self):
+        # w < [w+1] selects member 0, w, over the refl leaf w <= [w];
+        # w < [w+2] selects member 0, w+1, over the member leaf w <= [w+1]
+        for rhs, cert in (
+                ("w+1", "0: refl(w <= w at 0){}\n"
+                        "1: lt_intro(w < ~nat#3 sel 0){0}\n"),
+                ("w+2", "0: member(w <= ~nat#4 at 0,0){}\n"
+                        "1: lt_intro(w < ~nat#5 sel 0){0}\n")):
+            code, out, err = run_cli(["cmp", "w", rhs, "--emit-cert"])
+            assert (code, err) == (0, "")
+            assert out.endswith(f"verdict lt\ncert lt\n{cert}\n")
 
     def test_emit_cert_for_a_numeral_among_the_first_members_of_w(self):
         # 48 to 63 are among the first 64 members of w, so the engine says
@@ -383,5 +397,6 @@ class TestKernelClaimTable:
                 printed += out.getvalue().count("\ncert ")
                 emitted.clear()
         # blocks printed over the table, pinned: a certificate that sweeps a
-        # naturally indexed family's members cannot be written out yet
-        assert printed == 66
+        # naturally indexed family's members cannot be written out yet, but
+        # reflexivity and membership are leaves (66 before they were)
+        assert printed == 128

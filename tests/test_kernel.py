@@ -17,7 +17,7 @@ from ordcalc.kernel import (CertSearchError, contract, cut_left, drop_left,
 from ordcalc.names import (BitSeq, Family, ZERO, eps_llpo, filtering, mk_node,
                            omega, suc, suc_list, sup_finite, und)
 
-from .conftest import failing_past_five
+from .conftest import expand, failing_past_five
 
 SPOT = SpotCheck(samples=(0, 1, 2), depth=64)
 
@@ -42,7 +42,7 @@ class TestRefl:
 
     def test_exhaustive_cannot_walk_a_generator(self):
         with pytest.raises(KernelError):
-            verify(refl(omega()), Exhaustive())
+            verify(expand(refl(omega())), Exhaustive())
 
 
 class TestZeroRules:
@@ -215,7 +215,7 @@ class TestSupRules:
 
 class TestVerify:
     def test_exhaustive_counts_nodes(self):
-        report = verify(refl(und(3)), Exhaustive())
+        report = verify(expand(refl(und(3))), Exhaustive())
         assert report.ok
         assert report.visited >= 4
 
@@ -352,10 +352,11 @@ class TestSearch:
     def test_running_out_of_depth_is_reported_as_such(self, monkeypatch):
         # a numeral step takes two depth levels, so the default budget of
         # 256 ends near 128: the failure names the budget, not a selection
+        # (200 <= [201] is one member leaf; 200 is no member of 202)
         with pytest.raises(CertSearchError, match="budget exhausted: depth"):
-            le_cert(und(200), (und(201),))
+            le_cert(und(200), (und(202),))
         monkeypatch.setattr(kernel, "SEARCH_BUDGET", 1000)
-        assert ok(le_cert(und(200), (und(201),)))
+        assert ok(le_cert(und(200), (und(202),)))
 
 
 class TestFormOnlySearch:
@@ -530,7 +531,7 @@ class TestFilteringCerts:
 
 class TestSerialize:
     def test_finite_certificate_lists_every_node(self):
-        text = serialize(le_cert(und(2), (und(3),)))
+        text = serialize(le_cert(und(2), (und(4),)))
         lines = text.strip().split("\n")
         assert lines[0].startswith("0: ")
         assert any("le_intro" in line for line in lines)
@@ -538,7 +539,7 @@ class TestSerialize:
 
     def test_shared_premise_is_listed_once(self):
         # both members of suc(1, 1) rest on the one certificate of 1 <= 1
-        text = serialize(refl(suc_list([und(1), und(1)])))
+        text = serialize(expand(refl(suc_list([und(1), und(1)]))))
         assert text == ("0: le_intro(0 <= 0){}\n"
                         "1: lt_intro(0 < 1 sel 0){0}\n"
                         "2: le_intro(1 <= 1){1}\n"
@@ -548,7 +549,7 @@ class TestSerialize:
 
     def test_generator_certificates_rejected(self):
         with pytest.raises(KernelError):
-            serialize(refl(omega()))
+            serialize(expand(refl(omega())))
 
 
 class TestEngineAgreement:

@@ -28,7 +28,8 @@ TRUSTED = {
         "check_derivation", "check_derivation.<locals>.guarded",
         "check_derivation.<locals>.local", "check_derivation.<locals>.walk",
         "subordinal_arity", "_ids", "_selected", "_unless",
-        "_check_le_premise", "_check_lt_intro", "<lambda>", "verify",
+        "_check_le_premise", "_check_lt_intro", "_check_refl",
+        "_check_member", "<lambda>", "verify",
     },
     "ordcalc.mlseq": {
         "Atom.__new__", "MlCertificate.kind",
@@ -58,6 +59,8 @@ def _claims():
     found.append((lt_cert(n("1"), (n("2"),)), verify, exhaustive, True))
     found.append((le_cert(n("suc(1,2)"), (n("3"),)), verify, exhaustive,
                   True))
+    # a member leaf: w is member 0 of w+1
+    found.append((le_cert(n("w"), (n("w+1"),)), verify, exhaustive, True))
     found.append((ml_cert_exa123(BitSeq.const_last([0, 1])), ml_verify, spot,
                   True))
     three, one = n("3"), n("1")

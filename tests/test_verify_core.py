@@ -15,6 +15,8 @@ from ordcalc.mlseq import (Atom, MlCertificate, ml_cert_exa123,
 from ordcalc.names import (BitSeq, ZERO, omega, suc, suc_list, sup_finite,
                            und)
 
+from .conftest import expand
+
 SPOT3 = SpotCheck(samples=(0, 1, 2))
 SPOT5 = SpotCheck(samples=(0, 1, 2, 5, 9))
 
@@ -24,17 +26,19 @@ def _exa01():
 
 
 def _sup11():
-    return refl(sup_finite([und(1), und(1)]))
+    return expand(refl(sup_finite([und(1), und(1)])))
 
 
+# refl is one leaf; its expansion into le_intro and lt_intro is the
+# generator-backed fixture these counts walk
 @pytest.mark.parametrize("build, check, policy, visited", [
-    (lambda: refl(und(3)), verify, Exhaustive(), 7),
+    (lambda: expand(refl(und(3))), verify, Exhaustive(), 7),
     # both policies count a shared subtree once; SpotCheck walks it from the
     # shallowest depth a path reaches it at
     (_sup11, verify, Exhaustive(), 4),
     (_sup11, verify, SpotCheck(), 4),
-    (lambda: refl(omega()), verify, SPOT3, 9),
-    (lambda: refl(omega()), verify, SPOT5, 25),
+    (lambda: expand(refl(omega())), verify, SPOT3, 9),
+    (lambda: expand(refl(omega())), verify, SPOT5, 25),
     (lambda: contract(weaken(refl(und(1)), (und(1),))), verify,
      Exhaustive(), 3),
     (lambda: ml_le_refl_cert(und(3)), ml_verify, Exhaustive(), 7),
@@ -51,7 +55,8 @@ def test_spot_check_walks_a_shared_premise_once():
     # every sample of w^2*2 reaches the same premises of w^2 again: walked
     # again for each path that reaches them, they cost 71,973 visits
     w2 = mul(pow(omega(), und(2)), und(2))
-    report = verify(refl(w2), SpotCheck(samples=(0, 1, 2, 3, 7, 30, 47)))
+    report = verify(expand(refl(w2)),
+                    SpotCheck(samples=(0, 1, 2, 3, 7, 30, 47)))
     assert report.ok and report.visited <= 1000
 
 
@@ -67,10 +72,10 @@ def _distinct_nodes(cert) -> int:
 
 
 def test_exhaustive_walks_a_node_met_deep_first_once():
-    # refl of 2 is a premise of both members, deep below suc(2) first and
+    # 2 <= [2] is a premise of both members, deep below suc(2) first and
     # directly below the root second: a shallower path must not walk it
     # again, as SpotCheck would
-    cert = refl(suc_list([suc(und(2)), und(2)]))
+    cert = expand(refl(suc_list([suc(und(2)), und(2)])))
     report = verify(cert, Exhaustive())
     assert report.ok and report.visited == _distinct_nodes(cert) == 10
 
