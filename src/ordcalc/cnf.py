@@ -7,6 +7,17 @@ that form.  A value here is the tuple of its (exponent, coefficient) terms
 in that order, so zero is the empty tuple and two values denote the same
 ordinal exactly when they are equal.
 
+Python's own tuple order on values is the ordinal order, so values are
+compared with ``<`` and ``max``.  Two forms are ordered by the first term
+where they differ, exponent first and then coefficient: the larger
+exponent wins since every later term of the other form sits below that
+power, and at equal exponents the larger coefficient wins for the same
+reason.  A form that runs out first is a proper prefix of the other, whose
+extra terms are positive, so it is the smaller.  Tuple order compares
+exactly that way: terms pairwise, a pair by its exponent (again a form,
+ordered by induction) and then by its coefficient (a positive int), and a
+prefix below the longer tuple.
+
 Names record the form of the ordinal they denote where the construction
 makes it obvious (``of``).  Nothing in the trusted checker reads it: the
 search uses it only to choose, order and prune the steps it tries, and every
@@ -15,7 +26,7 @@ step it takes is still checked by ``verify``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 ZERO: tuple = ()
 
@@ -29,30 +40,6 @@ ONE = nat(1)
 OMEGA = ((ONE, 1),)
 
 
-def cmp(a: tuple, b: tuple) -> int:
-    """-1, 0 or 1 as a is below, equal to or above b.  The first term where
-    the forms differ decides, by exponent and then by coefficient; a form
-    that runs out first is the smaller."""
-    for (ea, ca), (eb, cb) in zip(a, b):
-        if ea is not eb:
-            c = cmp(ea, eb)
-            if c:
-                return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    return (len(a) > len(b)) - (len(a) < len(b))
-
-
-def top(values: Iterable[tuple]) -> tuple:
-    """The largest of one or more values."""
-    it = iter(values)
-    best = next(it)
-    for v in it:
-        if cmp(v, best) > 0:
-            best = v
-    return best
-
-
 def add(a: tuple, b: tuple) -> tuple:
     """a + b: the terms of a below b's leading power are absorbed, and a term
     at that power adds its coefficient to b's leading one."""
@@ -61,10 +48,9 @@ def add(a: tuple, b: tuple) -> tuple:
     lead, coeff = b[0]
     head = []
     for e, c in a:
-        order = cmp(e, lead)
-        if order < 0:
+        if e < lead:
             break
-        if order == 0:
+        if e == lead:
             coeff += c
             break
         head.append((e, c))

@@ -9,9 +9,13 @@ derivations from those four.  A derived rule that needs the premises of a
 leaf unfolds it one level into the ``le_intro`` it abbreviates.
 
 ``le_cert`` and ``lt_cert`` are untrusted searchers, steered toward a
-certificate that is then checked like any other.  Their only guide is the
-Cantor normal form names carry (``cnf``): the forms pick the selections to
-try and refuse goals they refute, and a missing form gives no opinion, save
+certificate that is then checked like any other.  They try the paper's
+definitions first: a <= bs whose lhs is one of the bounds, or one of a
+bound's first members, is a ``refl`` or ``member`` leaf, and a < bs whose
+lhs is one of a bound's first members selects that member over a <= [a],
+two nodes and no inner goal.  Past that their only guide is the Cantor
+normal form names carry (``cnf``): the forms pick the selections to try
+and refuse goals they refute, and a missing form gives no opinion, save
 that a sweep over a naturally indexed lhs needs forms on both sides.  The
 search asks the comparison engine for no verdict; it pulls members through
 ``compare.child``.  A hint only prunes, refuses or picks the steps tried:
@@ -571,8 +575,8 @@ def _refuted(kind: str, a: OrdName, bs: tuple) -> bool:
     hbs = [cnf.of(b) for b in bs]
     if ha is None or None in hbs:
         return False
-    order = cnf.cmp(ha, cnf.top(hbs))
-    return order > 0 or order == 0 and kind == "lt"
+    top = max(hbs)
+    return ha > top or ha == top and kind == "lt"
 
 
 def _finite_part(a: OrdName) -> int:
@@ -587,10 +591,20 @@ def _finite_part(a: OrdName) -> int:
 
 
 def _member_index(a: OrdName, b: OrdName, limit: int) -> Optional[int]:
-    """The index of a among b's first limit members, or None."""
+    """The index of a among b's first limit members, or None.  When a has a
+    form, the scan starts where b's running largest form first reaches it
+    (reach): every member before that has a smaller form or none, so none
+    of them is a, and a member past the limit is never pulled."""
     if b.is_zero:
         return None
-    for i in range(limit if b.arity is None else min(limit, b.arity)):
+    k = limit if b.arity is None else min(limit, b.arity)
+    start = 0
+    form = cnf.of(a)
+    if form is not None:
+        start = reach(b, form, k)
+        if start is None:
+            return None
+    for i in range(start, k):
         if compare.child(b, i).ident == a.ident:
             return i
     return None
@@ -657,26 +671,30 @@ def reach(b: OrdName, h: tuple, k: int) -> Optional[int]:
     forms = b.forms
     if b.arity is not None:
         k = min(k, b.arity)
-    cmp = cnf.cmp
     # running maxima never fall, so the rows measured so far are bisected
     n = min(k, len(forms))
     lo = bisect_left(forms, True, 0, n,
-                     key=lambda f: f is not None and cmp(f, h) >= 0)
+                     key=lambda f: f is not None and f >= h)
     if lo < n:
         return lo
     if not forms and k:
         forms = b.forms = []
     for r in range(len(forms), k):
         f = cnf.of(compare.child(b, r))
-        if f is not None and cmp(f, h) >= 0:
+        if f is not None and f >= h:
             # every form before it is below h, so it is the new maximum
             forms.append(f)
             return r
         top = forms[-1] if forms else None
-        if f is not None and (top is None or cmp(f, top) > 0):
+        if f is not None and (top is None or f > top):
             top = f
         forms.append(top)
     return None
+
+
+def _single(bs: tuple, j: int, i: int) -> tuple:
+    """The selections of member i of bound j alone."""
+    return tuple((i,) if k == j else () for k in range(len(bs)))
 
 
 def _steered(a: OrdName, bs: tuple, limit: int):
@@ -684,14 +702,15 @@ def _steered(a: OrdName, bs: tuple, limit: int):
     (among the first limit) whose Cantor normal form reaches a's, when a and
     that member carry one.  reach keeps each bound's running largest form
     on the bound, so a goal bisects what earlier goals measured instead of
-    rescanning the bound from index 0."""
+    rescanning the bound from index 0.  _lt_body asks membership first, so
+    a member that is a is not shadowed by an earlier member of a's form."""
     ha = cnf.of(a)
     if ha is None:
         return
     for j, b in enumerate(bs):
         i = reach(b, ha, limit)
         if i is not None:
-            yield tuple((i,) if k == j else () for k in range(len(bs)))
+            yield _single(bs, j, i)
 
 
 def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
@@ -700,8 +719,14 @@ def _lt_body(a: OrdName, bs: tuple, limit: int, budget: int,
     if _refuted("lt", a, bs):
         raise CertSearchError(f"guidance refutes {a!r} < {list(bs)!r}")
     # widen as prem does: the numeral 60 is first reached at member 60 of w
+    wide = max(limit, _finite_part(a) + 2)
+    # a member of a bound is below it by selecting itself, over a <= [a]
+    for j, b in enumerate(bs):
+        i = _member_index(a, b, wide)
+        if i is not None:
+            return lt_intro_sel(a, bs, _single(bs, j, i), refl(a))
     spent = None
-    for sels in _steered(a, bs, max(limit, _finite_part(a) + 2)):
+    for sels in _steered(a, bs, wide):
         _spend(budget, st)
         try:
             inner = _settle("le", a, _selected(bs, sels), limit, budget - 1,

@@ -278,7 +278,7 @@ class Node(OrdName):
         # one more than the largest child
         hints = [cnf.of(c) for c in members]
         if None not in hints:
-            self.cnf = cnf.add(cnf.top(hints), cnf.ONE)
+            self.cnf = cnf.add(max(hints), cnf.ONE)
 
     @property
     def family(self) -> Family:
@@ -476,7 +476,7 @@ def _sup_of_members(members: tuple) -> OrdName:
         node = _sups[members] = _sup_diagonal(members)
         hints = [cnf.of(m) for m in members]
         if None not in hints:
-            node.cnf = cnf.top(hints)
+            node.cnf = max(hints)
     return node
 
 

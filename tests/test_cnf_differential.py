@@ -82,8 +82,42 @@ def test_recorded_forms_agree_with_cnf():
             # it lists is strictly below it
             for i in range(21):
                 below = cnf.of(name.child(i))
-                assert below is not None and cnf.cmp(below, form) < 0, (
+                assert below is not None and below < form, (
                     f"member {i} of {text}")
+
+
+def _shape(form):
+    """Assert form is a tuple of (form, positive int) terms whose exponents
+    strictly decrease by the referee's order."""
+    assert type(form) is tuple
+    for term in form:
+        assert type(term) is tuple and len(term) == 2
+        exponent, coeff = term
+        assert type(coeff) is int and coeff > 0
+        _shape(exponent)
+    exponents = [e for e, _ in form]
+    assert all(checks.compare(e, f) > 0
+               for e, f in zip(exponents, exponents[1:])), form
+
+
+def test_tuple_order_on_forms_is_ordinal_order():
+    # the search orders forms with Python's own <, == and max; every form
+    # the table's names and their first 21 members carry is ordered the
+    # way the referee orders it
+    forms = set()
+    for text in sorted({t for pair in PAIRS for t in pair} - {"eps0"}):
+        name = _name(text)
+        members = 21 if name.index is NAT else min(21, name.index.size)
+        for x in [name] + [name.child(i) for i in range(members)]:
+            form = cnf.of(x)
+            assert form is not None, text
+            forms.add(form)
+    for form in forms:
+        _shape(form)
+    for a in forms:
+        for b in forms:
+            assert (a > b) - (a < b) == checks.compare(a, b), (a, b)
+    assert len(forms) >= 60
 
 
 def test_certified_claims_agree_with_cnf():

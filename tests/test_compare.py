@@ -514,7 +514,7 @@ def _scan(b, h, k):
     scan from index 0."""
     for i in range(k if b.arity is None else min(k, b.arity)):
         form = cnf.of(b.child(i))
-        if form is not None and cnf.cmp(form, h) >= 0:
+        if form is not None and form >= h:
             return i
     return None
 
@@ -581,6 +581,26 @@ def test_reach_finds_what_the_linear_scan_finds():
                     assert kernel.reach(c, h, k) == i, (label, h, k)
                     pulled = max(pulled, k if i is None else i + 1)
                     assert len(c.pulled) <= pulled
+
+
+def test_member_index_finds_what_the_linear_scan_finds():
+    """kernel._member_index starts its ident scan where reach puts the
+    first member whose form reaches the lhs's; it must answer as a scan of
+    idents from index 0 does, for lhs with and without a form, on each
+    bound and on a fresh name over a natural bound's members."""
+    for label, b in _reach_bounds().items():
+        members = [b.child(i)
+                   for i in range(48 if b.arity is None else min(48, b.arity))]
+        lhs = members + [lower(parse_expr(t)) for t in EXPRESSIONS]
+        for k in (1, 5, 48):
+            for a in lhs:
+                want = next((i for i, m in enumerate(members[:k])
+                             if m.ident == a.ident), None)
+                clear_memo()
+                assert kernel._member_index(a, b, k) == want, (label, a, k)
+                if b.index is NAT:
+                    c = _over(b)
+                    assert kernel._member_index(a, c, k) == want, (label, a, k)
 
 
 class TestUnsettledScans:

@@ -10,9 +10,10 @@ import sys
 import pytest
 
 from ordcalc import arith, cli
-from ordcalc.checker import verify
+from ordcalc.checker import Exhaustive, verify
 from ordcalc.expr import (BinOp, Call, Const, ExprError, Num, format_expr,
                           lower, parse_expr, parse_name, parse_sequent)
+from ordcalc.kernel import lt_cert
 from ordcalc.names import omega, suc_list, und
 
 from .test_cnf_differential import checks
@@ -309,17 +310,37 @@ class TestCliContract:
     def test_emit_cert_without_a_certificate_exits_3(self):
         # a definite verdict whose certificate the search cannot find, or
         # cannot write out, prints the reason and no certificate at all: w
-        # is member 1 of suc(1+w, w), but the search selects member 0,
-        # which has w's form, and sweeps w's members below it
+        # is member 0 of w+1, member 1 of suc(w+2, w+1), but the search
+        # selects member 0, w+2, whose form reaches w's, and sweeps w's
+        # members below it
         for args, reason in (
                 (["cmp", "150", "200"], "search budget exhausted: depth"),
-                (["cmp", "w", "suc(1+w,w)"],
+                (["cmp", "w", "suc(w+2,w+1)"],
                  "cannot serialize a generator-backed certificate")):
             code, out, err = run_cli(args + ["--emit-cert"])
             assert code == 3
             assert out.endswith("verdict lt\n")
             assert "cert" not in out
             assert err == f"error: no certificate for lt: {reason}\n"
+
+    def test_search_selects_the_lhs_where_it_is_a_member(self):
+        # the certificate the command above writes out: refl, then lt_intro
+        # selecting member 1
+        bound = lower(parse_expr("suc(1+w,w)"))
+        cert = lt_cert(omega(), (bound,))
+        assert (cert.rule, cert.payload) == ("lt_intro", ((1,),))
+        (inner,) = cert.premises
+        assert (inner.rule, inner.premises) == ("refl", ())
+        assert inner.conclusion.rhs == (omega(),)
+        assert verify(cert, Exhaustive()).ok
+
+    def test_emit_cert_writes_out_a_membership_past_a_member_of_its_form(self):
+        # w is member 1 of suc(1+w, w); member 0, 1+w, has w's form but is
+        # not w, and the search asks membership before it steers by form
+        code, out, err = run_cli(["cmp", "w", "suc(1+w,w)", "--emit-cert"])
+        assert (code, err) == (0, "")
+        assert out.endswith("verdict lt\ncert lt\n0: refl(w <= w at 0){}\n"
+                            "1: lt_intro(w < ~nat#4 sel 1){0}\n\n")
 
     def test_emit_cert_writes_out_reflexivity_and_membership(self):
         # w < [w+1] selects member 0, w, over the refl leaf w <= [w];

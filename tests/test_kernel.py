@@ -7,6 +7,7 @@ from ordcalc.arith import acko, add, eps0, mul, pow
 from ordcalc.checker import (Certificate, Exhaustive, Judgment, KernelError,
                              SpotCheck, incompatible, serialize, verify)
 from ordcalc.compare import Fuel
+from ordcalc.expr import lower, parse_expr
 from ordcalc.kernel import (CertSearchError, contract, cut_left, drop_left,
                             eq_certs, filtering_eq_certs, le_cert, le_intro,
                             le_of_lt_suc, lt_cert, lt_intro, lt_intro_sel,
@@ -427,21 +428,40 @@ class TestFormOnlySearch:
 
 class TestSearchCost:
     """The search reads each bound's members, and their running largest
-    form, off the bound itself, so a sweep over the lhs's members
-    compares forms about once a member rather than once a member pair."""
+    form, off the bound itself, so a sweep over the lhs's members pulls a
+    bound's members about once a member rather than once a member pair,
+    and a premise that is a member of its bound is one search step."""
 
-    def test_light_claim_compares_few_forms(self, monkeypatch):
+    @staticmethod
+    def _counting(monkeypatch, module, attr):
         calls = [0]
-        real = cnf.cmp
+        real = getattr(module, attr)
 
-        def counted(a, b):
+        def counted(*args):
             calls[0] += 1
-            return real(a, b)
+            return real(*args)
 
-        monkeypatch.setattr(cnf, "cmp", counted)
+        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    def test_light_claim_pulls_few_members(self, monkeypatch):
+        # a rescan from index 0 for each of the sweep's 98 premises would
+        # pull about 2,500 members
+        pulls = self._counting(monkeypatch, compare, "child")
         compare.clear_memo()
         fwd, back = eq_certs(add(und(1), omega()), omega())
-        assert calls[0] <= 1500
+        assert pulls[0] <= 500
+        assert ok(fwd, SPOT) and ok(back, SPOT)
+
+    @pytest.mark.parametrize("text", ["1+w", "sup(w,3)", "2+w"])
+    def test_sweep_over_members_takes_a_step_a_premise(self, monkeypatch,
+                                                       text):
+        # each swept premise k < [w] is a membership: one step, where
+        # steering spent three (the goal, its selection and its inner le)
+        steps = self._counting(monkeypatch, kernel, "_spend")
+        compare.clear_memo()
+        fwd, back = eq_certs(lower(parse_expr(text)), omega())
+        assert steps[0] <= 110
         assert ok(fwd, SPOT) and ok(back, SPOT)
 
     @pytest.mark.parametrize("k", [3, 5])

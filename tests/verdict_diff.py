@@ -1,4 +1,5 @@
-"""Verdict differential: does a change to the engine lose a definite verdict?
+"""Verdict differential: does a change to the engine lose a definite verdict,
+or a change to the search lose a certificate?
 
     python tests/verdict_diff.py BASE_SRC [CHANGE_SRC]
 
@@ -11,8 +12,16 @@ the change side; an unknown that becomes definite, or changes its reason,
 is counted but allowed.  Each table's summed evals on both sides, and on
 how many queries the eval count rose and on how many it fell, are printed
 too, to show the direction of cost drift; they do not affect the exit
-code.  The tests import the same tables, but
-do not collect this script: a run takes about ten seconds a side.
+code.
+
+Each side also runs le_cert or lt_cert on every claim of both tables (a
+kind, an lhs and a bound set), from an empty memo, and records whether the
+certificate found passes verify under Exhaustive (a certificate with a
+generated premise does not).  Exits 1 as well when a claim the base
+certifies is not certified on the change side; a claim newly certified is
+counted but allowed.  How many of the claims some fuel confirms are
+certified on each side is printed too.  The tests import the same tables,
+but do not collect this script: a run takes a few seconds a side.
 """
 
 import json
@@ -56,6 +65,33 @@ def dump() -> dict:
     return out
 
 
+def certificates() -> dict:
+    """Whether the search certifies each claim of both tables with the
+    ordcalc on sys.path, keyed by table and then by (kind, lhs, bounds)
+    joined into one string."""
+    from ordcalc.checker import Exhaustive, KernelError, verify
+    from ordcalc.compare import clear_memo
+    from ordcalc.expr import lower, parse_expr
+    from ordcalc.kernel import le_cert, lt_cert
+
+    names = {t: lower(parse_expr(t)) for t in EXPRESSIONS}
+    out = {}
+    for table, bound_sets in TABLES.items():
+        rows = out[table] = {}
+        for a in EXPRESSIONS:
+            for bs in bound_sets:
+                for kind, search in (("le", le_cert), ("lt", lt_cert)):
+                    clear_memo()
+                    try:
+                        cert = search(names[a], [names[b] for b in bs])
+                        # a certificate with a generated premise raises here
+                        ok = verify(cert, Exhaustive()).ok
+                    except KernelError:
+                        ok = False
+                    rows[f"{kind} {a} {'|'.join(bs)}"] = ok
+    return out
+
+
 def verdicts_of(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     run = subprocess.run([sys.executable, os.path.abspath(__file__), "--dump"],
@@ -89,9 +125,31 @@ def compare(base: dict, change: dict) -> list:
     return bad
 
 
+def compare_certificates(base: dict, change: dict, verdicts: dict) -> list:
+    """Print each table's certified claims on both sides, and how many of
+    the claims some fuel confirms in verdicts, and return the claims the
+    base certifies and the change does not."""
+    bad = []
+    for table, rows in base.items():
+        now = change[table]
+        assert rows.keys() == now.keys(), table
+        lost = [c for c in rows if rows[c] and not now[c]]
+        gained = sum(now[c] and not rows[c] for c in rows)
+        true = {key.split(") ", 1)[1]
+                for key, (value, _, _) in verdicts[table].items() if value}
+        print(f"{table} certificates: {len(rows)} claims, certified "
+              f"{sum(rows.values())} -> {sum(now.values())}, lost {len(lost)},"
+              f" gained {gained}; engine-true claims certified "
+              f"{sum(rows[c] for c in true)} -> {sum(now[c] for c in true)}"
+              f" of {len(true)}")
+        bad += lost
+    return bad
+
+
 def main(argv: list) -> int:
     if argv == ["--dump"]:
-        json.dump(dump(), sys.stdout)
+        json.dump({"verdicts": dump(), "certificates": certificates()},
+                  sys.stdout)
         return 0
     if len(argv) not in (1, 2) or argv[0].startswith("-"):
         print("usage: python tests/verdict_diff.py BASE_SRC [CHANGE_SRC]",
@@ -100,10 +158,15 @@ def main(argv: list) -> int:
     here = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     base = verdicts_of(argv[0])
     change = verdicts_of(argv[1] if len(argv) == 2 else here)
-    bad = compare(base, change)
+    bad = compare(base["verdicts"], change["verdicts"])
     for query, was, now in bad:
         print(f"LOST {query}: {was} -> {now}")
-    return 1 if bad else 0
+    uncertified = compare_certificates(base["certificates"],
+                                       change["certificates"],
+                                       change["verdicts"])
+    for claim in uncertified:
+        print(f"LOST CERTIFICATE {claim}")
+    return 1 if bad or uncertified else 0
 
 
 if __name__ == "__main__":
